@@ -16,26 +16,36 @@ anything) — against three yardsticks:
   ``set_legacy_dataplane``): the interleaved per-run encode/decode that
   built one ``DiffRun`` object and one payload copy per run, measured at
   the 8 MB point (it is quadratically painful beyond that);
-- **copy amplification**: ``wire.bytes_copied`` (every payload
-  materialization on the release path) over the bytes actually shipped.
+- **copy amplification**: every byte the release path copies —
+  ``wire.bytes_copied`` (payload materializations) plus
+  ``mmu.bytes_loaded`` and ``mmu.bytes_stored`` (bytes moved in and out
+  of client and server memory) — over the bytes actually shipped, so a
+  whole-block image load or store cannot hide from it.
 
 The measured operation is the full write-release path: client word
 diffing + columnar collect + single-buffer encode, server decode +
 vectorized scatter-apply + subblock stamping + re-encode into the diff
 cache and WAL (the WAL tier is enabled, ``fsync`` off).
 
+A second, sparse series releases :data:`SPARSE_WORDS` scattered words at
+1 MB and 32 MB: the diff is the same size at both points, so its release
+time must not follow the block size (the paper's Figure 5 claim that
+server collect/apply stay flat in the data size).
+
 Acceptance (see the tests below):
 
 - the zero-copy data plane releases >= 2x faster than the legacy
   toggle at 8 MB / 10% scattered writes;
 - copy amplification on the release path stays <= 3x the shipped bytes;
+- an 8-word release at 32 MB takes <= 2x the time of one at 1 MB;
 - the diff wins the paper's margin at every size: <= 60% of XDR's wire
   bytes, and faster end-to-end under the modeled LAN bandwidth
   (``REPRO_BENCH_DATASIZE_MBPS``, default 100 Mbit/s — the paper era's
   fast Ethernet);
-- a cProfile gate: no per-word Python loop (``_collect_per_unit``,
-  ``_apply_per_unit``, ``iter_units``, or any function called once per
-  word) may appear in the hot profile of an 8 MB release.
+- a cProfile gate: no per-word or per-page Python loop
+  (``_collect_per_unit``, ``_apply_per_unit``, ``iter_units``, or any
+  function called at least once per page of the block) may appear in the
+  hot profile of an 8 MB release.
 
 Results land in ``BENCH_datasize.json`` at the repo root plus a metrics
 sidecar in ``benchmarks/out/``.  Every phase is deadline-guarded
@@ -69,6 +79,7 @@ from common import World, build_workload
 
 from repro import InProcHub, InterWeaveClient, InterWeaveServer, VirtualClock
 from repro.arch import X86_32, PrimKind
+from repro.memory import PAGE_SIZE
 from repro.obs import get_registry, write_sidecar
 from repro.rpc import XDRTranslator
 from repro.wire import set_legacy_dataplane
@@ -88,6 +99,13 @@ DEADLINE_SECONDS = float(os.environ.get("REPRO_BENCH_DATASIZE_DEADLINE",
                                         "300"))
 #: the legacy data plane is only priced at its survivable size
 LEGACY_MB = 8
+#: scattered words changed by each release of the sparse series
+SPARSE_WORDS = 8
+#: block sizes (MiB) of the sparse series: smallest and largest
+SPARSE_POINTS_MB = (1, 32)
+#: the sparse release at the largest size may take at most this many
+#: times the smallest one
+SPARSE_SCALING_BOUND = 2.0
 #: functions that are, by construction, per-word Python loops — none may
 #: show up in the hot profile of an MB-scale release
 BANNED_HOT_FUNCTIONS = {"_collect_per_unit", "_apply_per_unit",
@@ -138,6 +156,18 @@ def _modify_scattered(workload, salt: int) -> None:
     client.memory.store(address, updated.tobytes())
 
 
+#: every byte the release path copies: payload materializations plus
+#: bytes moved in and out of client and server memory
+_COPY_COUNTERS = {"bytes_copied": "wire.bytes_copied",
+                  "mmu_bytes_loaded": "mmu.bytes_loaded",
+                  "mmu_bytes_stored": "mmu.bytes_stored"}
+
+
+def _copy_counters(registry) -> dict:
+    return {key: registry.counter(name).value
+            for key, name in _COPY_COUNTERS.items()}
+
+
 def _measure_release(data_bytes: int, legacy: bool,
                      deadline: _Deadline, rounds: int = ROUNDS) -> dict:
     """Best-of-N wall time of the full release path, plus the byte
@@ -155,30 +185,53 @@ def _measure_release(data_bytes: int, legacy: bool,
                 deadline.check(f"release round {salt}")
                 client.wl_acquire(workload.segment)
                 _modify_scattered(workload, salt)
-                copied0 = registry.counter("wire.bytes_copied").value
+                before = _copy_counters(registry)
                 started = time.perf_counter()
                 client.wl_release(workload.segment)
                 times.append(time.perf_counter() - started)
                 if accounting is None:
-                    copied = (registry.counter("wire.bytes_copied").value
-                              - copied0)
+                    after = _copy_counters(registry)
                     version = workload.segment.version
                     encoded = world.server.diff_cache.get(
                         workload.segment.name, version - 1, version)
                     accounting = {
                         "diff_wire_bytes": len(encoded) if encoded else 0,
-                        "bytes_copied": copied,
+                        **{key: after[key] - before[key] for key in after},
                     }
             wire_bytes = max(accounting["diff_wire_bytes"], 1)
+            copied = sum(accounting[key] for key in _COPY_COUNTERS)
             return {
                 "release_s": min(times),
                 "release_rounds_s": times,
-                "copy_amplification":
-                    accounting["bytes_copied"] / wire_bytes,
+                "copy_amplification": copied / wire_bytes,
                 **accounting,
             }
     finally:
         set_legacy_dataplane(False)
+
+
+def _measure_sparse_release(data_bytes: int, deadline: _Deadline,
+                            rounds: int = ROUNDS) -> dict:
+    """Best-of-N release time of :data:`SPARSE_WORDS` scattered words."""
+    with tempfile.TemporaryDirectory(prefix="bench-datasize-") as tmp:
+        world = _make_world(tmp)
+        workload = build_workload("int_array", world, data_bytes=data_bytes)
+        client = world.client
+        address = workload.block.address
+        words = np.linspace(0, workload.block.size // 4 - 1, SPARSE_WORDS,
+                            dtype=np.int64).tolist()
+        times = []
+        for salt in range(rounds):
+            deadline.check(f"sparse release round {salt}")
+            client.wl_acquire(workload.segment)
+            for word in words:
+                client.memory.store(address + 4 * word,
+                                    (salt + 1 + word).to_bytes(4, "little"))
+            started = time.perf_counter()
+            client.wl_release(workload.segment)
+            times.append(time.perf_counter() - started)
+    return {"mb": data_bytes >> 20, "words": SPARSE_WORDS,
+            "release_s": min(times), "release_rounds_s": times}
 
 
 def _measure_xdr(data_bytes: int, deadline: _Deadline,
@@ -217,7 +270,7 @@ def _modeled_e2e(cpu_seconds: float, wire_bytes: int) -> float:
 
 def _profile_release(data_bytes: int, deadline: _Deadline) -> dict:
     """cProfile one release; return the top-N tottime functions and any
-    banned per-word loops among them."""
+    banned per-word or per-page loops among them."""
     set_legacy_dataplane(False)
     with tempfile.TemporaryDirectory(prefix="bench-datasize-") as tmp:
         world = _make_world(tmp)
@@ -234,6 +287,7 @@ def _profile_release(data_bytes: int, deadline: _Deadline) -> dict:
     entries = sorted(stats.stats.items(),
                      key=lambda item: item[1][2], reverse=True)
     words = data_bytes // 4
+    pages = data_bytes // PAGE_SIZE
     top, offenders = [], []
     for (filename, lineno, name), (cc, ncalls, tottime, _, _) in \
             entries[:PROFILE_TOP_N]:
@@ -242,10 +296,10 @@ def _profile_release(data_bytes: int, deadline: _Deadline) -> dict:
         top.append(row)
         if name in BANNED_HOT_FUNCTIONS:
             offenders.append(row)
-        elif ncalls >= words:  # something is looping once per word
+        elif ncalls >= pages:  # looping once per page (or per word)
             offenders.append(row)
     return {"top": top, "offenders": offenders,
-            "top_n": PROFILE_TOP_N, "words": words}
+            "top_n": PROFILE_TOP_N, "words": words, "pages": pages}
 
 
 def run_all() -> dict:
@@ -274,6 +328,16 @@ def run_all() -> dict:
             "modeled_speedup": xdr_e2e / diff_e2e,
         })
 
+    sparse = []
+    for size_mb in SPARSE_POINTS_MB:
+        deadline = _Deadline(f"datasize-sparse-{size_mb}MB")
+        sparse.append(_measure_sparse_release(size_mb << 20, deadline))
+    sparse_scaling = {
+        "points": sparse,
+        "ratio": sparse[-1]["release_s"] / sparse[0]["release_s"],
+        "bound": SPARSE_SCALING_BOUND,
+    }
+
     legacy_mb = max((mb for mb in POINTS_MB if mb <= LEGACY_MB),
                     default=min(POINTS_MB))
     deadline = _Deadline(f"datasize-legacy-{legacy_mb}MB")
@@ -293,6 +357,7 @@ def run_all() -> dict:
 
     results = {
         "points": points,
+        "sparse_scaling": sparse_scaling,
         "legacy_baseline": legacy_baseline,
         "profile_gate": profile,
         "config": {
@@ -338,6 +403,13 @@ def test_copy_amplification_bounded():
         assert point["copy_amplification"] <= 3.0, point
 
 
+def test_sparse_release_flat_in_block_size():
+    """An 8-word release at 32 MB costs <= 2x one at 1 MB: the release
+    path follows the diff, not the block."""
+    scaling = _results()["sparse_scaling"]
+    assert scaling["ratio"] <= scaling["bound"], scaling
+
+
 def test_diff_beats_xdr_margin():
     """The paper's story at every size: the diff ships well under the
     full-transfer bytes and wins end-to-end on the modeled link."""
@@ -348,8 +420,8 @@ def test_diff_beats_xdr_margin():
 
 
 def test_no_per_word_python_loop_in_profile():
-    """No per-word Python loop may appear in the hot profile of an
-    MB-scale release (the zero-copy plane is columnar end to end)."""
+    """No per-word or per-page Python loop may appear in the hot profile
+    of an MB-scale release (the zero-copy plane is columnar end to end)."""
     results = _results()
     gate = results["profile_gate"]
     assert not gate["offenders"], gate["offenders"]
@@ -379,6 +451,11 @@ def main() -> None:
               f"{point['diff_e2e_modeled_s'] * 1e3:8.1f}m "
               f"{point['xdr_e2e_modeled_s'] * 1e3:7.1f}m "
               f"{point['modeled_speedup']:5.2f}x")
+    scaling = results["sparse_scaling"]
+    print(f"{SPARSE_WORDS}-word release: " + ", ".join(
+        f"{point['mb']}MB {point['release_s'] * 1e3:.2f}m"
+        for point in scaling["points"])
+        + f" (ratio {scaling['ratio']:.2f}x, bound {scaling['bound']:.1f}x)")
     baseline = results["legacy_baseline"]
     print(f"legacy data plane @ {baseline['mb']}MB: "
           f"{baseline['release_s'] * 1e3:.1f} ms/release "

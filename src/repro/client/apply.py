@@ -31,6 +31,7 @@ from repro.errors import BlockError, TypeDescriptorError
 from repro.memory.heap import BlockInfo, SegmentHeap
 from repro.types import TypeRegistry, flat_layout
 from repro.wire import SegmentDiff, TranslationContext, apply_range
+from repro.wire.translate import apply_runs
 from repro.errors import WireFormatError
 
 
@@ -98,9 +99,8 @@ def apply_update(tctx: TranslationContext, heap: SegmentHeap,
                 raise TypeDescriptorError(
                     f"block {block.serial}: wire type does not match cached type")
         layout = flat_layout(block.descriptor, tctx.arch, coalesce_layouts)
-        from repro.wire.translate import apply_runs
-
-        if not apply_runs(tctx, layout, block.address, block_diff.runs):
+        if not apply_runs(tctx, layout, block.address, block_diff.runs,
+                          columns=block_diff.columns):
             for run in block_diff.runs:
                 end = apply_range(tctx, layout, block.address,
                                   run.prim_start, run.prim_count, run.data)

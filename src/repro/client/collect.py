@@ -37,7 +37,6 @@ from repro.memory.heap import BlockInfo, SegmentHeap, SubSegment
 from repro.memory.mmu import AddressSpace
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.types import flat_layout
-from repro.types.layout import merge_run_arrays
 from repro.wire import (BlockDiff, DiffRun, SegmentDiff, TranslationContext,
                         block_diff_from_columns, collect_range)
 from repro.wire.translate import collect_runs, collect_runs_columns
@@ -50,37 +49,40 @@ def word_diff_arrays(memory: AddressSpace, subsegment: SubSegment,
                      word_size: int, max_gap: int = 0):
     """Changed word runs vs. the twins, as numpy arrays (starts, ends).
 
-    Offsets are subsegment-relative, in words.  Splicing happens *during*
-    the scan, as in the C implementation: two changed words separated by
-    at most ``max_gap`` unchanged ones stay in one run, so a change
-    pattern like every-other-word (one word of every double) never
-    materializes thousands of one-word runs.
+    Offsets are subsegment-relative, in words.  All twinned pages are
+    compared against their twins in one stacked compare, and the changed
+    words are split into runs in one pass.  Splicing happens *during* the
+    scan, as in the C implementation: two changed words separated by at
+    most ``max_gap`` unchanged ones stay in one run, so a change pattern
+    like every-other-word (one word of every double) never materializes
+    thousands of one-word runs.  Untwinned pages hold no changes, and a
+    whole page is a wider gap than any splice, so runs never bridge them.
     """
-    page_words = subsegment.page_size // word_size
-    first_page = subsegment.first_page_number()
-    dtype = np.uint32 if word_size == 4 else np.uint64
-    all_starts, all_ends = [], []
-    for page_index in sorted(subsegment.pagemap):
-        twin = subsegment.pagemap[page_index]
-        current = memory.page(first_page + page_index).as_words(word_size)
-        twin_words = np.frombuffer(twin, dtype=dtype)
-        changed = np.flatnonzero(current != twin_words)
-        if changed.size == 0:
-            continue
-        base = page_index * page_words
-        # a gap of g unchanged words shows as an index delta of g+1
-        breaks = np.flatnonzero(np.diff(changed) > max_gap + 1)
-        starts = changed[np.concatenate(([0], breaks + 1))]
-        ends = changed[np.concatenate((breaks, [changed.size - 1]))] + 1
-        all_starts.append(starts + base)
-        all_ends.append(ends + base)
-    if not all_starts:
-        empty = np.empty(0, np.int64)
+    empty = np.empty(0, np.int64)
+    if not subsegment.pagemap:
         return empty, empty
-    starts = np.concatenate(all_starts).astype(np.int64)
-    ends = np.concatenate(all_ends).astype(np.int64)
-    # pages were spliced independently; merge runs meeting at page edges
-    return merge_run_arrays(starts, ends, max_gap)
+    page_words = subsegment.page_size // word_size
+    dtype = np.uint32 if word_size == 4 else np.uint64
+    pages = np.array(sorted(subsegment.pagemap), dtype=np.int64)
+    current = memory.view(subsegment.base, subsegment.size).view(dtype).reshape(
+        subsegment.num_pages, page_words)
+    if pages[-1] - pages[0] + 1 == pages.size:
+        current = current[pages[0]:pages[-1] + 1]  # one span: no copy
+    else:
+        current = current[pages]
+    twins = np.frombuffer(
+        b"".join([subsegment.pagemap[page] for page in pages.tolist()]),
+        dtype=dtype).reshape(pages.size, page_words)
+    changed = np.flatnonzero(current != twins)
+    if changed.size == 0:
+        return empty, empty
+    # stacked (twinned page, word) position -> subsegment word offset
+    changed = pages[changed // page_words] * page_words + changed % page_words
+    # a gap of g unchanged words shows as an index delta of g+1
+    breaks = np.flatnonzero(np.diff(changed) > max_gap + 1)
+    starts = changed[np.concatenate(([0], breaks + 1))]
+    ends = changed[np.concatenate((breaks, [changed.size - 1]))] + 1
+    return starts, ends
 
 
 def word_diff_pages(memory: AddressSpace, subsegment: SubSegment,

@@ -18,6 +18,14 @@ bump allocator, so every page belongs to at most one mapping (the paper's
 invariant that "any given page contains data from only one segment" is
 enforced one level up, by the heap, which maps a fresh region per
 subsegment).
+
+Each mapped region is backed by one contiguous ``bytearray`` plus one
+protection byte per page.  Pages are ``memoryview`` slices of that buffer,
+so the per-page API (twins, ``as_words``) is unchanged, while the diff
+data plane moves many scattered units at once: :meth:`AddressSpace.gather`
+and :meth:`AddressSpace.scatter` index the region by *unit* through a
+``V{unit_size}`` numpy view, so their cost follows the units touched, not
+the size of the block or region they live in.
 """
 
 from __future__ import annotations
@@ -36,14 +44,36 @@ PAGE_SIZE = 4096
 _BASE_ADDRESS = 0x1000_0000
 
 
+class _Region:
+    """One mapping: a contiguous buffer and a writable flag per page."""
+
+    __slots__ = ("first_page", "num_pages", "base", "size", "buffer",
+                 "view", "writable")
+
+    def __init__(self, first_page: int, num_pages: int, page_size: int):
+        self.first_page = first_page
+        self.num_pages = num_pages
+        self.base = first_page * page_size
+        self.size = num_pages * page_size
+        self.buffer = bytearray(self.size)
+        self.view = memoryview(self.buffer)
+        #: one byte per page: nonzero means stores are allowed
+        self.writable = bytearray(b"\x01" * num_pages)
+
+
 class Page:
-    """One page of simulated memory."""
+    """One page of simulated memory: a view into its region's buffer."""
 
-    __slots__ = ("data", "writable")
+    __slots__ = ("data", "_region", "_index")
 
-    def __init__(self, size: int):
-        self.data = bytearray(size)
-        self.writable = True
+    def __init__(self, region: _Region, index: int, page_size: int):
+        self.data = region.view[index * page_size:(index + 1) * page_size]
+        self._region = region
+        self._index = index
+
+    @property
+    def writable(self) -> bool:
+        return bool(self._region.writable[self._index])
 
     def as_words(self, word_size: int) -> np.ndarray:
         """View the page as an array of unsigned words (for word diffing)."""
@@ -81,7 +111,9 @@ class AddressSpace:
         if page_size < 32 or page_size & (page_size - 1):
             raise ValueError(f"page size must be a power of two >= 32, got {page_size}")
         self.page_size = page_size
-        self._pages: Dict[int, Page] = {}
+        self._shift = page_size.bit_length() - 1
+        #: page number -> the region mapping it
+        self._regions: Dict[int, _Region] = {}
         self._next_page = _BASE_ADDRESS // page_size
         self.fault_handler: Optional[Callable[["AddressSpace", int], bool]] = None
         self.stats = FaultStats()
@@ -92,6 +124,10 @@ class AddressSpace:
             "mmu.protect_calls", "protect_range invocations")
         self._m_unprotects = metrics.counter(
             "mmu.unprotect_calls", "unprotect invocations")
+        self._m_loaded = metrics.counter(
+            "mmu.bytes_loaded", "bytes read by load and gather")
+        self._m_stored = metrics.counter(
+            "mmu.bytes_stored", "bytes written by store and scatter")
 
     # -- mapping ---------------------------------------------------------------
 
@@ -101,24 +137,28 @@ class AddressSpace:
             raise ValueError("must map at least one page")
         first = self._next_page
         self._next_page += num_pages
-        for page_number in range(first, first + num_pages):
-            self._pages[page_number] = Page(self.page_size)
-        return first * self.page_size
+        region = _Region(first, num_pages, self.page_size)
+        self._regions.update(dict.fromkeys(range(first, first + num_pages), region))
+        return region.base
 
     def unmap_region(self, base: int, num_pages: int) -> None:
         """Remove a mapping (used when a cached segment is discarded)."""
         first = base // self.page_size
         for page_number in range(first, first + num_pages):
-            self._pages.pop(page_number, None)
+            self._regions.pop(page_number, None)
 
     def is_mapped(self, address: int) -> bool:
-        return address // self.page_size in self._pages
+        return address >> self._shift in self._regions
 
-    def page(self, page_number: int) -> Page:
+    def _region(self, page_number: int) -> _Region:
         try:
-            return self._pages[page_number]
+            return self._regions[page_number]
         except KeyError:
             raise ProtectionError(f"page {page_number:#x} is not mapped") from None
+
+    def page(self, page_number: int) -> Page:
+        region = self._region(page_number)
+        return Page(region, page_number - region.first_page, self.page_size)
 
     def page_number(self, address: int) -> int:
         return address // self.page_size
@@ -127,63 +167,163 @@ class AddressSpace:
 
     def protect_range(self, base: int, length: int) -> None:
         """Write-protect all pages overlapping [base, base+length)."""
-        for page_number in self._page_span(base, length):
-            self.page(page_number).writable = False
+        self._set_writable(base, length, 0)
         self.stats.protect_calls += 1
         self._m_protects.inc()
 
     def unprotect_range(self, base: int, length: int) -> None:
-        for page_number in self._page_span(base, length):
-            self.page(page_number).writable = True
+        self._set_writable(base, length, 1)
         self.stats.unprotect_calls += 1
         self._m_unprotects.inc()
 
     def unprotect_page(self, page_number: int) -> None:
-        self.page(page_number).writable = True
+        region = self._region(page_number)
+        region.writable[page_number - region.first_page] = 1
         self.stats.unprotect_calls += 1
         self._m_unprotects.inc()
 
-    def _page_span(self, base: int, length: int):
+    def _set_writable(self, base: int, length: int, flag: int) -> None:
+        """Set the flag of every page overlapping [base, base+length):
+        one slice assignment per region crossed."""
         if length <= 0:
-            return range(0)
-        return range(base // self.page_size, (base + length - 1) // self.page_size + 1)
+            return
+        page_number = base >> self._shift
+        last = (base + length - 1) >> self._shift
+        while page_number <= last:
+            region = self._region(page_number)
+            lo = page_number - region.first_page
+            hi = min(last - region.first_page + 1, region.num_pages)
+            region.writable[lo:hi] = bytes([flag]) * (hi - lo)
+            page_number = region.first_page + hi
 
     # -- loads and stores ----------------------------------------------------------
 
     def load(self, address: int, size: int) -> bytes:
         """Read ``size`` bytes (may span pages)."""
-        out = bytearray(size)
-        cursor = 0
-        while cursor < size:
-            page_number, offset = divmod(address + cursor, self.page_size)
-            page = self.page(page_number)
-            chunk = min(size - cursor, self.page_size - offset)
-            out[cursor:cursor + chunk] = page.data[offset:offset + chunk]
-            cursor += chunk
-        return bytes(out)
+        if size <= 0:
+            return b""
+        region = self._region(address >> self._shift)
+        offset = address - region.base
+        end = offset + size
+        if end > region.size:
+            # spills into the next mapping: split at the region edge
+            head = region.size - offset
+            return self.load(address, head) + self.load(address + head, size - head)
+        self._m_loaded.inc(size)
+        return region.view[offset:end].tobytes()
 
     def store(self, address: int, data) -> None:
         """Write bytes (may span pages), taking write faults as needed.
 
         This is the single choke point all application stores go through —
-        the simulated equivalent of the CPU's store path.
+        the simulated equivalent of the CPU's store path.  Every protected
+        page the store touches is faulted, in address order, before any
+        byte lands.
         """
         size = len(data)
-        view = memoryview(data)
-        cursor = 0
-        while cursor < size:
-            page_number, offset = divmod(address + cursor, self.page_size)
-            page = self.page(page_number)
-            if not page.writable:
-                self._fault(page_number)
-                page = self.page(page_number)  # handler may have replaced it
-                if not page.writable:
-                    raise ProtectionError(
-                        f"store to write-protected page {page_number:#x} "
-                        f"(address {address + cursor:#x}) not resolved by fault handler")
-            chunk = min(size - cursor, self.page_size - offset)
-            page.data[offset:offset + chunk] = view[cursor:cursor + chunk]
-            cursor += chunk
+        if not size:
+            return
+        region = self._region(address >> self._shift)
+        offset = address - region.base
+        end = offset + size
+        if end > region.size:
+            head = region.size - offset
+            view = memoryview(data)
+            self.store(address, view[:head])
+            self.store(address + head, view[head:])
+            return
+        first = offset >> self._shift
+        last = (end - 1) >> self._shift
+        writable = region.writable
+        if not writable[first] or (last != first and 0 in writable[first:last + 1]):
+            self._fault_pages(region, range(first, last + 1))
+        region.view[offset:end] = data
+        self._m_stored.inc(size)
+
+    # -- batched unit access for the diff data plane --------------------------------
+
+    def _unit_view(self, address: int, unit_size: int, units: np.ndarray):
+        """The region holding ``units`` and a ``V{unit_size}`` view of it
+        starting at ``address`` (so unit *k* lives at
+        ``address + k * unit_size``)."""
+        region = self._region(address >> self._shift)
+        offset = address - region.base
+        if units.size and (int(units.min()) < 0 or offset + (int(units.max()) + 1)
+                           * unit_size > region.size):
+            raise ProtectionError(
+                f"units at {address:#x} (size {unit_size}) reach outside "
+                "their mapping")
+        view = np.frombuffer(region.buffer, dtype=f"V{unit_size}",
+                             count=(region.size - offset) // unit_size,
+                             offset=offset)
+        return region, offset, view
+
+    def gather(self, address: int, unit_size: int, units) -> np.ndarray:
+        """Copy out units ``address + units[i] * unit_size``, in order.
+
+        Returns one contiguous ``uint8`` array of ``len(units) *
+        unit_size`` bytes.  Reads never fault.
+        """
+        units = np.asarray(units, dtype=np.int64)
+        _, _, view = self._unit_view(address, unit_size, units)
+        self._m_loaded.inc(units.size * unit_size)
+        return view[units].view(np.uint8)
+
+    def scatter(self, address: int, unit_size: int, units, data) -> None:
+        """Write ``data`` (``len(units) * unit_size`` bytes) to units
+        ``address + units[i] * unit_size``, in order, so a repeated unit
+        keeps the last value written.
+
+        Every protected page a unit touches (a unit may straddle two
+        pages) is faulted exactly once, through the fault handler, before
+        any byte lands; a refused fault leaves memory unchanged.
+        """
+        units = np.asarray(units, dtype=np.int64)
+        payload = np.frombuffer(data, dtype=np.uint8)
+        if payload.size != units.size * unit_size:
+            raise ValueError(
+                f"scatter of {units.size} {unit_size}-byte units given "
+                f"{payload.size} bytes")
+        region, offset, view = self._unit_view(address, unit_size, units)
+        if 0 in region.writable:
+            starts = offset + units * unit_size
+            touched = np.zeros(region.num_pages, dtype=bool)
+            touched[starts >> self._shift] = True
+            touched[(starts + unit_size - 1) >> self._shift] = True
+            protected = touched & (np.frombuffer(region.writable, np.uint8) == 0)
+            self._fault_pages(region, np.flatnonzero(protected).tolist())
+        view[units] = payload.view(view.dtype)
+        self._m_stored.inc(payload.size)
+
+    def view(self, address: int, size: int) -> np.ndarray:
+        """A read-only ``uint8`` array over mapped memory (no copy).
+
+        For whole-page scans such as the word diff; stores must still go
+        through :meth:`store` or :meth:`scatter`.
+        """
+        region = self._region(address >> self._shift)
+        offset = address - region.base
+        if offset + size > region.size:
+            raise ProtectionError(
+                f"view of {size} bytes at {address:#x} reaches outside its mapping")
+        array = np.frombuffer(region.buffer, np.uint8, count=size, offset=offset)
+        array.flags.writeable = False
+        return array
+
+    # -- faults ------------------------------------------------------------------
+
+    def _fault_pages(self, region: _Region, indices) -> None:
+        """Fault every still-protected page among region page ``indices``."""
+        writable = region.writable
+        for index in indices:
+            if writable[index]:
+                continue
+            page_number = region.first_page + index
+            self._fault(page_number)
+            if not writable[index]:
+                raise ProtectionError(
+                    f"store to write-protected page {page_number:#x} "
+                    "not resolved by fault handler")
 
     def _fault(self, page_number: int) -> None:
         self.stats.write_faults += 1
@@ -196,10 +336,8 @@ class AddressSpace:
 
     # -- page-level helpers for the diffing machinery -------------------------------
 
-    def page_bytes(self, page_number: int) -> bytearray:
-        """Direct (mutable) access to a page's backing bytes."""
-        return self.page(page_number).data
-
     def snapshot_page(self, page_number: int) -> bytes:
         """A pristine copy of a page — twin creation."""
-        return bytes(self.page(page_number).data)
+        region = self._region(page_number)
+        start = (page_number - region.first_page) * self.page_size
+        return region.view[start:start + self.page_size].tobytes()

@@ -31,75 +31,99 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import ServerError
-from repro.wire import BlockDiff, DiffRun, SegmentDiff, decode_segment_diff
+from repro.wire import (BlockDiff, RunColumns, SegmentDiff,
+                        block_diff_from_columns, count_bytes_copied,
+                        decode_segment_diff)
+from repro.wire.diff import columns_of
 
 
-def _covers(newer: DiffRun, older: DiffRun) -> bool:
-    return (newer.prim_start <= older.prim_start
-            and newer.prim_start + newer.prim_count
-            >= older.prim_start + older.prim_count)
+def _covered(starts: np.ndarray, ends: np.ndarray,
+             newer_starts: np.ndarray, newer_ends: np.ndarray) -> np.ndarray:
+    """Mask of the runs ``[starts, ends)`` that some single newer run
+    fully covers.
 
-
-def _surviving_runs(accumulated: List[DiffRun],
-                    incoming: List[DiffRun]) -> List[DiffRun]:
-    """Accumulated runs not fully covered by any single incoming run.
-
-    A run survives unless some newer run spans its whole range.  The
-    pairwise scan is O(n*m); for the large diffs relaxed coherence
-    produces, sort the incoming runs by start once and keep a running
-    maximum of their ends — among incoming runs starting at or before an
-    old run, one covers it iff that prefix's max end reaches the old
-    run's end.  searchsorted finds the prefix for all old runs at once.
+    Sort the newer runs by start once and keep a running maximum of their
+    ends: among newer runs starting at or before an old run, one covers
+    it iff that prefix's max end reaches the old run's end.  searchsorted
+    finds the prefix for all old runs at once.
     """
-    if not accumulated or not incoming:
-        return list(accumulated)
-    if len(accumulated) * len(incoming) <= 64:
-        # tiny diffs (the common single-counter case): the array setup
-        # costs more than the scan it replaces
-        return [run for run in accumulated
-                if not any(_covers(newer, run) for newer in incoming)]
-    starts = np.fromiter((run.prim_start for run in incoming),
-                         np.int64, len(incoming))
-    ends = starts + np.fromiter((run.prim_count for run in incoming),
-                                np.int64, len(incoming))
-    order = np.argsort(starts, kind="stable")
-    starts = starts[order]
-    prefix_max_end = np.maximum.accumulate(ends[order])
-    old_starts = np.fromiter((run.prim_start for run in accumulated),
-                             np.int64, len(accumulated))
-    old_ends = old_starts + np.fromiter((run.prim_count for run in accumulated),
-                                        np.int64, len(accumulated))
-    prefix = np.searchsorted(starts, old_starts, side="right") - 1
-    covered = (prefix >= 0) & (prefix_max_end[np.maximum(prefix, 0)] >= old_ends)
-    return [run for run, dead in zip(accumulated, covered.tolist()) if not dead]
+    if not starts.size or not newer_starts.size:
+        return np.zeros(starts.size, dtype=bool)
+    order = np.argsort(newer_starts, kind="stable")
+    prefix_max_end = np.maximum.accumulate(newer_ends[order])
+    prefix = np.searchsorted(newer_starts[order], starts, side="right") - 1
+    return (prefix >= 0) & (prefix_max_end[np.maximum(prefix, 0)] >= ends)
 
 
-def _merge_block(accumulated: Optional[BlockDiff], incoming: BlockDiff) -> BlockDiff:
-    if incoming.freed:
-        return BlockDiff(serial=incoming.serial, freed=True,
-                         version=incoming.version)
-    if accumulated is not None and accumulated.freed:
-        # a serial freed and then re-created cannot be expressed as one
-        # BlockDiff; the caller falls back to rebuilding from subblocks
-        raise ServerError(f"serial {incoming.serial} re-created within range")
-    if accumulated is None or incoming.is_new:
-        # first sight, or re-creation after a free: take the newer record,
-        # keeping its columnar/view form — run sequences are never mutated
-        # in place, so sharing is safe and the single-step composition
-        # stays vectorized end to end
-        return BlockDiff(serial=incoming.serial, runs=incoming.runs,
-                         is_new=incoming.is_new, type_serial=incoming.type_serial,
-                         name=incoming.name, version=incoming.version,
-                         columns=incoming.columns)
-    surviving = _surviving_runs(accumulated.runs, incoming.runs)
-    return BlockDiff(
-        serial=accumulated.serial,
-        runs=surviving + list(incoming.runs),
-        is_new=accumulated.is_new,
-        type_serial=accumulated.type_serial,
-        name=accumulated.name,
-        version=max(accumulated.version, incoming.version),
-    )
+def _compose_columns(chain: List[RunColumns]) -> RunColumns:
+    """One block's runs from a chain of diffs (oldest first), as columns.
+
+    Runs keep their order, oldest diff first, so appliers processing runs
+    sequentially let a newer overlapping run overwrite an older one.  A
+    run is dropped when a single run of any newer diff covers it; its
+    payload bytes are skipped by one gather over the survivors' byte
+    ranges, so no per-run object is ever built.
+    """
+    if len(chain) == 1:
+        return chain[0]
+    keeps = []
+    newer_starts = newer_ends = np.empty(0, np.int64)
+    for cols in reversed(chain):
+        ends = cols.starts + cols.counts
+        keeps.append(~_covered(cols.starts, ends, newer_starts, newer_ends))
+        newer_starts = np.concatenate((newer_starts, cols.starts))
+        newer_ends = np.concatenate((newer_ends, ends))
+    keeps.reverse()
+    payloads = []
+    for cols, keep in zip(chain, keeps):
+        data = np.frombuffer(cols.data, np.uint8)
+        if not keep.all():
+            lens = cols.lens[keep]
+            out_bounds = np.cumsum(lens) - lens
+            data = data[np.repeat(cols.bounds[:-1][keep] - out_bounds, lens)
+                        + np.arange(int(lens.sum()))]
+        payloads.append(data)
+    payload = np.concatenate(payloads).tobytes()
+    count_bytes_copied(len(payload))
+    return RunColumns(
+        np.concatenate([c.starts[k] for c, k in zip(chain, keeps)]),
+        np.concatenate([c.counts[k] for c, k in zip(chain, keeps)]),
+        np.concatenate([c.lens[k] for c, k in zip(chain, keeps)]),
+        payload)
+
+
+class _BlockChain:
+    """One serial's composition so far: the record that opened it (first
+    sight, creation or tombstone) and every later diff's runs."""
+
+    __slots__ = ("head", "chain", "version")
+
+    def __init__(self, head: BlockDiff):
+        self.head = head
+        self.chain = [] if head.freed else [columns_of(head)]
+        self.version = head.version
+
+    def extend(self, incoming: BlockDiff) -> "_BlockChain":
+        if incoming.freed:
+            return _BlockChain(incoming)
+        if self.head.freed:
+            # a serial freed and then re-created cannot be expressed as
+            # one BlockDiff; the caller falls back to rebuilding from
+            # subblocks
+            raise ServerError(f"serial {incoming.serial} re-created within range")
+        if incoming.is_new:
+            return _BlockChain(incoming)
+        self.chain.append(columns_of(incoming))
+        self.version = max(self.version, incoming.version)
+        return self
+
+    def block_diff(self) -> BlockDiff:
+        head = self.head
+        if head.freed:
+            return BlockDiff(serial=head.serial, freed=True, version=head.version)
+        return block_diff_from_columns(
+            head.serial, _compose_columns(self.chain), is_new=head.is_new,
+            type_serial=head.type_serial, name=head.name, version=self.version)
 
 
 def compose_diffs(parts: List[SegmentDiff]) -> SegmentDiff:
@@ -113,22 +137,20 @@ def compose_diffs(parts: List[SegmentDiff]) -> SegmentDiff:
                 f"{later.from_version}->...")
         if earlier.segment != later.segment:
             raise ServerError("diff chain mixes segments")
-    merged_blocks: Dict[int, BlockDiff] = {}
-    order: List[int] = []  # first-seen order keeps creations before uses
+    chains: Dict[int, _BlockChain] = {}  # insertion order keeps creations first
     types: Dict[int, bytes] = {}
     for part in parts:
         for serial, encoded in part.new_types:
             types.setdefault(serial, encoded)
         for block_diff in part.block_diffs:
-            if block_diff.serial not in merged_blocks:
-                order.append(block_diff.serial)
-            merged_blocks[block_diff.serial] = _merge_block(
-                merged_blocks.get(block_diff.serial), block_diff)
+            chain = chains.get(block_diff.serial)
+            chains[block_diff.serial] = (_BlockChain(block_diff) if chain is None
+                                         else chain.extend(block_diff))
     return SegmentDiff(
         segment=parts[0].segment,
         from_version=parts[0].from_version,
         to_version=parts[-1].to_version,
-        block_diffs=[merged_blocks[serial] for serial in order],
+        block_diffs=[chain.block_diff() for chain in chains.values()],
         new_types=sorted(types.items()),
     )
 

@@ -254,40 +254,24 @@ class ServerSegment:
                          new_version: int) -> None:
         """Mark every subblock a diff's runs touch as modified now.
 
-        Interval-stabbing with a difference array, so a diff of thousands
-        of runs costs one pass instead of a slice assignment per run.  A
-        columnar diff supplies its start/count arrays directly; only the
-        per-run object path pays the ``fromiter`` walk.
+        Only the touched subblocks are indexed (one repeat/arange over the
+        runs' subblock spans), so stamping costs follow the runs, not the
+        block.  A columnar diff supplies its start/count arrays directly;
+        only the per-run object path pays the ``fromiter`` walk.
         """
         cols = block_diff.columns
         if cols is not None:
-            if not cols.run_count:
-                return
-            firsts = cols.starts // SUBBLOCK_UNITS
-            lasts = (cols.starts + cols.counts - 1) // SUBBLOCK_UNITS
+            starts, counts = cols.starts, cols.counts
         else:
             runs = block_diff.runs
-            if not runs:
-                return
-            if len(runs) <= 4:
-                for run in runs:
-                    first = run.prim_start // SUBBLOCK_UNITS
-                    last = (run.prim_start + run.prim_count - 1) // SUBBLOCK_UNITS
-                    block.subblock_versions[first:last + 1] = new_version
-                return
-            firsts = np.fromiter((r.prim_start // SUBBLOCK_UNITS for r in runs),
-                                 np.int64, len(runs))
-            lasts = np.fromiter(
-                ((r.prim_start + r.prim_count - 1) // SUBBLOCK_UNITS for r in runs),
-                np.int64, len(runs))
-        if firsts.size <= 4:
-            for first, last in zip(firsts.tolist(), lasts.tolist()):
-                block.subblock_versions[first:last + 1] = new_version
+            starts = np.fromiter((r.prim_start for r in runs), np.int64, len(runs))
+            counts = np.fromiter((r.prim_count for r in runs), np.int64, len(runs))
+        if not starts.size:
             return
-        delta = np.zeros(block.subblock_versions.size + 1, np.int64)
-        np.add.at(delta, firsts, 1)
-        np.add.at(delta, lasts + 1, -1)
-        touched = np.cumsum(delta[:-1]) > 0
+        firsts = starts // SUBBLOCK_UNITS
+        spans = (starts + counts - 1) // SUBBLOCK_UNITS - firsts + 1
+        offsets = np.cumsum(spans) - spans
+        touched = np.repeat(firsts - offsets, spans) + np.arange(int(spans.sum()))
         block.subblock_versions[touched] = new_version
 
     # -- building an update for a client ---------------------------------------------

@@ -207,21 +207,28 @@ class Dispatcher:
         raise NotImplementedError
 
 
+#: replies one reply-cache session retains, in bytes (see ReplyCache)
+REPLY_WINDOW_BYTES = 16 * 1024 * 1024
+
+
 class _ReplySession:
     """One client channel's request-deduplication state.
 
     ``replies`` retains the last ``window`` dispatched replies (keyed by
-    sequence number), ``pending`` tracks dispatches currently running,
+    sequence number; ``reply_bytes`` is their total size), ``pending``
+    tracks dispatches currently running,
     and ``horizon`` is the highest sequence number ever evicted from
     ``replies`` — anything at or below it may have been forgotten, so a
     repeat is rejected as stale rather than silently re-dispatched.
     """
 
-    __slots__ = ("lock", "replies", "pending", "horizon", "last_seq")
+    __slots__ = ("lock", "replies", "reply_bytes", "pending", "horizon",
+                 "last_seq")
 
     def __init__(self):
         self.lock = threading.Lock()
         self.replies: "OrderedDict[int, bytes]" = OrderedDict()
+        self.reply_bytes = 0
         self.pending: Dict[int, threading.Event] = {}
         self.horizon = 0
         self.last_seq = 0
@@ -268,6 +275,11 @@ class ReplyCache:
     restart transports in place should carry the cache over (see
     ``docs/ROBUSTNESS.md``).  Clients must keep their in-flight window
     smaller than ``window`` or retries can fall off the retention edge.
+
+    A session also retains at most :data:`REPLY_WINDOW_BYTES` of replies
+    (always at least its newest one): a reader fetching MB-scale updates
+    would otherwise pin ``window`` of them, so server memory would grow
+    with request rate rather than with the data it serves.
     """
 
     def __init__(self, max_clients: int = 1024, window: int = 256):
@@ -369,10 +381,14 @@ class ReplyCache:
         with session.lock:
             session.pending.pop(seq, None)
             session.replies[seq] = reply
+            session.reply_bytes += len(reply)
             if seq > session.last_seq:
                 session.last_seq = seq
-            while len(session.replies) > self._window:
-                evicted, _ = session.replies.popitem(last=False)
+            while (len(session.replies) > self._window
+                   or (session.reply_bytes > REPLY_WINDOW_BYTES
+                       and len(session.replies) > 1)):
+                evicted, old = session.replies.popitem(last=False)
+                session.reply_bytes -= len(old)
                 if evicted > session.horizon:
                     session.horizon = evicted
         event.set()

@@ -228,6 +228,23 @@ class BlockDiff:
         return sum(run.prim_count for run in self.runs)
 
 
+def join_runs(runs: Sequence[DiffRun]) -> RunColumns:
+    """Columnar form of a ``DiffRun`` list (one payload join)."""
+    starts = np.fromiter((r.prim_start for r in runs), np.int64, len(runs))
+    counts = np.fromiter((r.prim_count for r in runs), np.int64, len(runs))
+    lens = np.fromiter((len(r.data) for r in runs), np.int64, len(runs))
+    data = b"".join(r.data for r in runs)
+    count_bytes_copied(len(data))
+    return RunColumns(starts, counts, lens, data)
+
+
+def columns_of(block_diff: BlockDiff) -> RunColumns:
+    """A block diff's runs in columnar form, joined from ``runs`` if needed."""
+    if block_diff.columns is not None:
+        return block_diff.columns
+    return join_runs(block_diff.runs)
+
+
 def block_diff_from_columns(serial: int, columns: RunColumns, *,
                             is_new: bool = False, freed: bool = False,
                             type_serial: int = 0, name: Optional[str] = None,

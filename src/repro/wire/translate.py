@@ -39,7 +39,7 @@ from repro.memory.mmu import AddressSpace
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.types import FlatLayout, iter_units
 from repro.wire.codec import count_bytes_copied
-from repro.wire.diff import RunColumns
+from repro.wire.diff import RunColumns, join_runs
 
 #: Length-header codec for variable-size units (strings and MIPs).
 _LEN = struct.Struct(">I")
@@ -384,52 +384,43 @@ def _single_dense_run(layout: FlatLayout):
     return run if run.repeat == 1 else None
 
 
-def _gather_indices(run, starts: np.ndarray, counts: np.ndarray):
-    """Flat byte-index array covering every unit of every run."""
-    unit = run.unit_size
-    byte_starts = run.local_start + (starts - run.prim_start) * unit
-    byte_lens = counts * unit
-    total = int(byte_lens.sum())
-    bounds = np.concatenate(([0], np.cumsum(byte_lens)))
-    indices = np.repeat(byte_starts - bounds[:-1], byte_lens) + np.arange(total)
-    return indices, byte_lens, bounds
+def _unit_indices(run, starts: np.ndarray, counts: np.ndarray):
+    """Index of every unit of every run, counted from the run's first unit.
+
+    Returns ``(units, bounds)`` where ``bounds`` is the exclusive prefix
+    sum of ``counts``.  The arrays hold one entry per *unit*, not per
+    byte, and no entry for the block's unchanged units.
+    """
+    bounds = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    units = (np.repeat(starts - run.prim_start - bounds[:-1], counts)
+             + np.arange(bounds[-1]))
+    return units, bounds
 
 
 def collect_runs(ctx: TranslationContext, layout: FlatLayout, base: int,
                  starts, counts) -> List[bytes]:
-    """Translate many unit runs at once; returns one wire buffer per run.
+    """Translate unit runs one by one; returns one wire buffer per run.
 
-    ``starts``/``counts`` are parallel sequences (arrays or lists) of
-    primitive offsets and unit counts.  All runs are gathered in one numpy
-    pass and sliced apart, so building a 16k-run diff costs a few array
-    operations rather than a Python call per run.
+    The per-run path, for layouts :func:`collect_runs_columns` does not
+    batch (records, strings, pointers) and for diffs of a handful of runs,
+    where contiguous per-run slices beat building index arrays.
     """
-    starts = np.asarray(starts, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    run = _single_dense_run(layout)
-    if run is None or starts.size <= 4:
-        # few runs: the contiguous-slice path beats building index arrays
-        return [collect_range(ctx, layout, base, int(start), int(count))
-                for start, count in zip(starts.tolist(), counts.tolist())]
-    image = np.frombuffer(ctx.memory.load(base, layout.local_size), np.uint8)
-    indices, byte_lens, bounds = _gather_indices(run, starts, counts)
-    data = image[indices]
-    if ctx.arch.endian == "little" and run.unit_size > 1:
-        data = np.ascontiguousarray(
-            data.reshape(-1, run.unit_size)[:, ::-1]).reshape(-1)
-    buffer = data.tobytes()
-    count_bytes_copied(len(buffer))  # slicing apart re-copies the gather
-    return [buffer[int(lo):int(hi)] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return [collect_range(ctx, layout, base, int(start), int(count))
+            for start, count in zip(np.asarray(starts).tolist(),
+                                    np.asarray(counts).tolist())]
 
 
 def collect_runs_columns(ctx: TranslationContext, layout: FlatLayout,
                          base: int, starts, counts) -> Optional[RunColumns]:
-    """Columnar variant of :func:`collect_runs`: one gather, one buffer.
+    """Translate many unit runs at once into one columnar payload.
 
-    Returns a :class:`RunColumns` whose ``data`` is the single gathered
-    wire buffer (never sliced apart), or None when the layout has no
-    batched path / the run count is too small to be worth it — callers
-    fall back to the per-run list path.
+    The units are gathered straight out of memory by unit index
+    (:meth:`AddressSpace.gather`), so the cost follows the runs, not the
+    block.  Returns a :class:`RunColumns` whose ``data`` is the single
+    gathered wire buffer, or None when the layout has no batched path /
+    the run count is too small to be worth it — callers fall back to
+    :func:`collect_runs`.
     """
     run = _single_dense_run(layout)
     if run is None:
@@ -438,58 +429,49 @@ def collect_runs_columns(ctx: TranslationContext, layout: FlatLayout,
     counts = np.asarray(counts, dtype=np.int64)
     if starts.size <= 4:
         return None
-    image = np.frombuffer(ctx.memory.load(base, layout.local_size), np.uint8)
-    indices, byte_lens, bounds = _gather_indices(run, starts, counts)
-    data = image[indices]
+    units, bounds = _unit_indices(run, starts, counts)
+    data = ctx.memory.gather(base + run.local_start, run.unit_size, units)
     if ctx.arch.endian == "little" and run.unit_size > 1:
-        data = np.ascontiguousarray(
-            data.reshape(-1, run.unit_size)[:, ::-1]).reshape(-1)
-    return RunColumns(starts, counts, byte_lens, data.tobytes(), bounds)
+        data = _byteswapped(data, run.unit_size)
+    return RunColumns(starts, counts, counts * run.unit_size, data.tobytes(),
+                      bounds * run.unit_size)
 
 
 def apply_runs(ctx: TranslationContext, layout: FlatLayout, base: int,
                runs, columns: Optional[RunColumns] = None) -> bool:
     """Apply many (prim_start, prim_count, data) runs in one scatter.
 
-    Returns False when the layout has no batched path (caller falls back
-    to per-run :func:`apply_range`).  Runs must be in-bounds and their
-    data exactly sized — the same validation apply_range performs.
+    Returns False when the layout has no batched path or there are too
+    few runs to be worth it (caller falls back to per-run
+    :func:`apply_range`).  Runs must be in-bounds and their data exactly
+    sized — the same validation apply_range performs.
 
     When ``columns`` is given (a decoded diff's :class:`RunColumns`),
     the scatter reads straight from the columnar payload buffer — which
     may be a memoryview over the receive buffer — with no join and no
-    per-run attribute walk.
+    per-run attribute walk.  Only the units the runs name are written
+    (:meth:`AddressSpace.scatter`); the rest of the block is untouched.
     """
     run = _single_dense_run(layout)
     if run is None:
         return False
-    if columns is not None:
-        if columns.run_count <= 4:
-            return False  # few runs: per-run apply_range is cheaper
-        starts = columns.starts
-        counts = columns.counts
-        payload = np.frombuffer(columns.data, np.uint8)
-    else:
+    if columns is None:
         if len(runs) <= 4:
             return False
-        starts = np.fromiter((r.prim_start for r in runs), np.int64, len(runs))
-        counts = np.fromiter((r.prim_count for r in runs), np.int64, len(runs))
-        joined = b"".join(r.data for r in runs)
-        count_bytes_copied(len(joined))
-        payload = np.frombuffer(joined, np.uint8)
+        columns = join_runs(runs)
+    elif columns.run_count <= 4:
+        return False  # few runs: per-run apply_range is cheaper
+    starts = columns.starts
+    counts = columns.counts
     if int(starts.min()) < 0 or int((starts + counts).max()) > layout.prim_count:
         raise WireFormatError("diff run exceeds block bounds")
+    data = np.frombuffer(columns.data, np.uint8)
     expected = int(counts.sum()) * run.unit_size
-    if len(payload) != expected:
+    if len(data) != expected:
         raise WireFormatError(
-            f"diff runs carry {len(payload)} bytes, expected {expected}")
-    data = payload
+            f"diff runs carry {len(data)} bytes, expected {expected}")
     if ctx.arch.endian == "little" and run.unit_size > 1:
-        data = np.ascontiguousarray(
-            data.reshape(-1, run.unit_size)[:, ::-1]).reshape(-1)
-    image = np.frombuffer(bytearray(ctx.memory.load(base, layout.local_size)),
-                          np.uint8)
-    indices, _, _ = _gather_indices(run, starts, counts)
-    image[indices] = data
-    ctx.memory.store(base, image.tobytes())
+        data = _byteswapped(data, run.unit_size)
+    units, _ = _unit_indices(run, starts, counts)
+    ctx.memory.scatter(base + run.local_start, run.unit_size, units, data)
     return True

@@ -109,6 +109,71 @@ class TestWordDiff:
         assert runs[0][1] == 8
 
 
+def _per_page_word_diff(memory, subsegment, word_size, max_gap):
+    """Reference word diff: each twinned page compared and spliced on its
+    own, then runs meeting across page edges merged."""
+    page_words = subsegment.page_size // word_size
+    dtype = np.uint32 if word_size == 4 else np.uint64
+    all_starts, all_ends = [], []
+    for index in sorted(subsegment.pagemap):
+        current = memory.page(subsegment.first_page_number() + index).as_words(
+            word_size)
+        twin = np.frombuffer(subsegment.pagemap[index], dtype=dtype)
+        changed = np.flatnonzero(current != twin)
+        if changed.size == 0:
+            continue
+        breaks = np.flatnonzero(np.diff(changed) > max_gap + 1)
+        all_starts.append(changed[np.concatenate(([0], breaks + 1))]
+                          + index * page_words)
+        all_ends.append(changed[np.concatenate((breaks, [changed.size - 1]))]
+                        + 1 + index * page_words)
+    if not all_starts:
+        return [], []
+    starts, ends = merge_run_arrays(np.concatenate(all_starts),
+                                    np.concatenate(all_ends), max_gap)
+    return starts.tolist(), ends.tolist()
+
+
+class TestStackedWordDiff:
+    """The one-compare word diff over all twinned pages equals the
+    per-page reference on random dirty patterns."""
+
+    @pytest.mark.parametrize("word_size", [4, 8])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_page_reference(self, word_size, seed):
+        rng = np.random.default_rng(seed)
+        memory = AddressSpace(page_size=256)
+        heap = Heap(memory)
+        seg = SegmentHeap("s", heap, X86_32)
+        sub = seg.expand(64 * 256)
+        memory.store(sub.base, rng.integers(0, 4, sub.size, dtype=np.uint8).tobytes())
+        protect_and_twin(memory, sub)
+        page_words = 256 // word_size
+        # non-adjacent dirty pages, plus splices straddling page edges
+        for page in rng.choice(64, int(rng.integers(1, 20)), replace=False):
+            for _ in range(int(rng.integers(1, 6))):
+                word = int(page) * page_words + int(rng.integers(0, page_words))
+                memory.store(sub.base + word * word_size, bytes([1 + seed]) * word_size)
+        for edge in rng.choice(np.arange(1, 64), 4, replace=False):
+            word = int(edge) * page_words
+            for delta in (-2, 1):  # changed words 3 apart across the edge
+                memory.store(sub.base + (word + delta) * word_size, b"\xff" * word_size)
+        for max_gap in (0, SPLICE_MAX_GAP_WORDS):
+            starts, ends = word_diff_arrays(memory, sub, word_size, max_gap)
+            assert (starts.tolist(), ends.tolist()) == _per_page_word_diff(
+                memory, sub, word_size, max_gap)
+
+    def test_twinned_but_unchanged_pages(self):
+        memory, seg, actx = make_env()
+        block = seg.allocate(ArrayDescriptor(INT, 8192), 1)
+        sub = block.subsegment
+        protect_and_twin(memory, sub)
+        for page in (0, 3, 5):  # a same-value store twins without changing
+            memory.store(sub.base + page * memory.page_size, b"\x00")
+        starts, _ = word_diff_arrays(memory, sub, 4)
+        assert starts.size == 0
+
+
 class TestMergeRunArrays:
     def test_empty(self):
         starts, ends = merge_run_arrays([], [])

@@ -1,5 +1,6 @@
 """Tests for the simulated MMU: mapping, protection, and write faults."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ProtectionError
@@ -158,3 +159,149 @@ class TestWordView:
         words = mem.page(base // mem.page_size).as_words(4)
         assert words[0] == 123
         assert len(words) == mem.page_size // 4
+
+
+def _twinning_space(page_size=64, pages=8):
+    """A protected region whose fault handler records and unprotects."""
+    mem = AddressSpace(page_size=page_size)
+    base = mem.map_region(pages)
+    faulted = []
+
+    def handler(space, page_number):
+        faulted.append(page_number)
+        space.unprotect_page(page_number)
+        return True
+
+    mem.fault_handler = handler
+    mem.protect_range(base, pages * page_size)
+    return mem, base, faulted
+
+
+class TestGatherScatter:
+    """Unit-indexed gather/scatter against a load/store reference."""
+
+    @pytest.mark.parametrize("unit_size,offset", [(1, 0), (4, 0), (8, 0),
+                                                  (8, 3), (4, 61), (16, 5)])
+    def test_gather_matches_load(self, unit_size, offset):
+        # odd offsets give units straddling page edges, as on the
+        # byte-packed server layout
+        rng = np.random.default_rng(unit_size + offset)
+        mem = AddressSpace(page_size=64)
+        base = mem.map_region(16)
+        mem.store(base, rng.integers(0, 256, 16 * 64, dtype=np.uint8).tobytes())
+        address = base + offset
+        capacity = (16 * 64 - offset) // unit_size
+        units = rng.integers(0, capacity, 50)
+        expected = b"".join(mem.load(address + int(k) * unit_size, unit_size)
+                            for k in units)
+        assert mem.gather(address, unit_size, units).tobytes() == expected
+
+    @pytest.mark.parametrize("unit_size,offset", [(4, 0), (8, 3), (8, 60),
+                                                  (2, 63)])
+    def test_scatter_matches_store(self, unit_size, offset):
+        rng = np.random.default_rng(7 * unit_size + offset)
+        capacity = (16 * 64 - offset) // unit_size
+        # repeated units: the last value written wins, as with stores
+        units = np.concatenate([rng.integers(0, capacity, 40),
+                                rng.integers(0, capacity, 5)[[0, 1, 0, 2, 0]]])
+        payload = rng.integers(0, 256, units.size * unit_size, dtype=np.uint8)
+        spaces = []
+        for batched in (False, True):
+            mem = AddressSpace(page_size=64)
+            base = mem.map_region(16)
+            if batched:
+                mem.scatter(base + offset, unit_size, units, payload.tobytes())
+            else:
+                for i, k in enumerate(units.tolist()):
+                    mem.store(base + offset + k * unit_size,
+                              payload[i * unit_size:(i + 1) * unit_size].tobytes())
+            spaces.append(mem.load(base, 16 * 64))
+        assert spaces[0] == spaces[1]
+
+    def test_scatter_faults_each_protected_page_once(self):
+        mem, base, faulted = _twinning_space()
+        twins = {}
+        inner = mem.fault_handler
+
+        def twinning(space, page_number):
+            assert page_number not in twins
+            twins[page_number] = space.snapshot_page(page_number)
+            return inner(space, page_number)
+
+        mem.fault_handler = twinning
+        # 8-byte units from offset 60: unit 0 straddles pages 0/1 (the
+        # only unit touching page 1), units 33 and 34 are on page 5; some
+        # units repeat
+        units = np.array([0, 33, 33, 34, 0])
+        mem.scatter(base + 60, 8, units, bytes(range(40)))
+        first = base // 64
+        assert sorted(faulted) == [first, first + 1, first + 5]
+        assert mem.stats.write_faults == 3
+        assert set(twins) == set(faulted)
+        assert all(twin == bytes(64) for twin in twins.values())
+        # an already-unprotected page does not fault again
+        mem.scatter(base + 60, 8, np.array([0, 1, 34]), bytes(24))
+        assert mem.stats.write_faults == 3
+
+    def test_scatter_to_unmapped_raises(self):
+        mem = AddressSpace(page_size=64)
+        base = mem.map_region(2)
+        with pytest.raises(ProtectionError):
+            mem.scatter(0x999, 4, np.array([0]), bytes(4))
+        with pytest.raises(ProtectionError):
+            mem.scatter(base, 4, np.array([0, 32]), bytes(8))  # past the end
+        with pytest.raises(ProtectionError):
+            mem.gather(base, 4, np.array([-1]))
+
+    def test_refused_fault_writes_nothing(self):
+        mem = AddressSpace(page_size=64)
+        base = mem.map_region(4)
+        mem.protect_range(base + 128, 64)  # only page 2 is protected
+        mem.fault_handler = lambda space, page: False
+        with pytest.raises(ProtectionError):
+            mem.scatter(base, 4, np.array([0, 1, 33]), b"\x01" * 12)
+        assert mem.load(base, 4 * 64) == bytes(4 * 64)
+
+    def test_scatter_without_handler_raises(self):
+        mem = AddressSpace(page_size=64)
+        base = mem.map_region(2)
+        mem.protect_range(base, 128)
+        with pytest.raises(ProtectionError):
+            mem.scatter(base, 4, np.array([3]), bytes(4))
+
+    def test_byte_counters(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        mem = AddressSpace(page_size=64, metrics=registry)
+        base = mem.map_region(4)
+        mem.store(base, bytes(10))
+        mem.scatter(base, 8, np.array([3, 9]), bytes(16))
+        mem.load(base, 7)
+        mem.gather(base, 4, np.array([1, 2, 3]))
+        counters = registry.snapshot()["counters"]
+        assert counters["mmu.bytes_stored"] == 26
+        assert counters["mmu.bytes_loaded"] == 19
+
+
+class TestRegionProtection:
+    def test_partial_ranges_round_to_whole_pages(self):
+        mem = AddressSpace(page_size=64)
+        base = mem.map_region(6)
+        first = base // 64
+        mem.protect_range(base + 70, 60)  # pages 1..2
+        assert [mem.page(first + k).writable for k in range(6)] == [
+            True, False, False, True, True, True]
+        mem.protect_range(base, 6 * 64)
+        mem.unprotect_range(base + 200, 1)  # page 3 only
+        assert [mem.page(first + k).writable for k in range(6)] == [
+            False, False, False, True, False, False]
+
+    def test_page_data_aliases_memory(self):
+        mem = AddressSpace(page_size=64)
+        base = mem.map_region(2)
+        mem.store(base + 64, b"abc")
+        page = mem.page(base // 64 + 1)
+        assert bytes(page.data[:3]) == b"abc"
+        page.data[:3] = b"xyz"  # transaction abort restores twins this way
+        assert mem.load(base + 64, 3) == b"xyz"

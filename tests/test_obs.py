@@ -286,6 +286,9 @@ class TestGetStats:
         assert seg_info["version"] == 2
         assert seg_info["blocks"] == 1
         assert stats["metrics"]["counters"]["server.diffs_applied"] == 2
+        # memory traffic of both sides' address spaces is visible too
+        assert stats["metrics"]["counters"]["mmu.bytes_loaded"] > 0
+        assert stats["metrics"]["counters"]["mmu.bytes_stored"] > 0
 
     def test_get_stats_message_codec(self):
         from repro.wire.messages import (GetStatsReply, GetStatsRequest,

@@ -328,6 +328,23 @@ class TestReplyCache:
         # in-window seqs still replay from cache
         assert cache.execute("c", 7, lambda: b"boom") == b"r7"
 
+    def test_byte_bound_evicts_oldest_keeps_newest(self, monkeypatch):
+        from repro.transport import base
+
+        monkeypatch.setattr(base, "REPLY_WINDOW_BYTES", 100)
+        cache = ReplyCache()
+        for seq in range(1, 4):
+            cache.execute("c", seq, lambda s=seq: bytes([s]) * 40)
+        # 120 bytes exceed the bound: seq 1 went, 2 and 3 replay
+        with pytest.raises(WireFormatError):
+            cache.execute("c", 1, lambda: b"boom")
+        assert cache.execute("c", 2, lambda: b"boom") == bytes([2]) * 40
+        # a reply larger than the bound is still kept, alone
+        cache.execute("c", 4, lambda: b"x" * 500)
+        assert cache.execute("c", 4, lambda: b"boom") == b"x" * 500
+        with pytest.raises(WireFormatError):
+            cache.execute("c", 3, lambda: b"boom")
+
     def test_sequence_zero_opts_out(self):
         cache = ReplyCache()
         calls = []
