@@ -42,7 +42,7 @@ def test_collect_ratio2(benchmark, splice):
 
     benchmark.pedantic(run, setup=setup, rounds=ROUNDS, iterations=1)
     benchmark.group = "ablation-splicing-collect"
-    runs = sum(len(bd.runs) for bd in state["diff"].block_diffs)
+    runs = sum(bd.columns.run_count for bd in state["diff"].block_diffs)
     benchmark.extra_info["runs_in_diff"] = runs
     benchmark.extra_info["payload_bytes"] = state["diff"].payload_bytes()
     if state["active"]:
@@ -72,4 +72,4 @@ def test_apply_ratio2(benchmark, splice):
         rounds=ROUNDS, iterations=1)
     benchmark.group = "ablation-splicing-apply"
     benchmark.extra_info["runs_in_diff"] = sum(
-        len(bd.runs) for bd in diff.block_diffs)
+        bd.columns.run_count for bd in diff.block_diffs)

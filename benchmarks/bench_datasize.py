@@ -12,10 +12,11 @@ anything) — against three yardsticks:
 
 - **XDR full transfer** (``repro.rpc.xdr``): marshal + unmarshal of the
   whole array, the RPC baseline of figure 4, measured at every size;
-- **the pre-change data plane** (``REPRO_WIRE_LEGACY_DATAPLANE`` /
-  ``set_legacy_dataplane``): the interleaved per-run encode/decode that
-  built one ``DiffRun`` object and one payload copy per run, measured at
-  the 8 MB point (it is quadratically painful beyond that);
+- **the pre-change data plane** (the reference codec in
+  ``benchmarks/legacy_dataplane.py``, installed for the baseline run
+  only): the interleaved per-run encode/decode that walks and copies
+  every run's payload on its own, measured at the 8 MB point (it is
+  quadratically painful beyond that);
 - **copy amplification**: every byte the release path copies —
   ``wire.bytes_copied`` (payload materializations) plus
   ``mmu.bytes_loaded`` and ``mmu.bytes_stored`` (bytes moved in and out
@@ -35,9 +36,12 @@ server collect/apply stay flat in the data size).
 Acceptance (see the tests below):
 
 - the zero-copy data plane releases >= 2x faster than the legacy
-  toggle at 8 MB / 10% scattered writes;
+  codec at 8 MB / 10% scattered writes;
 - copy amplification on the release path stays <= 3x the shipped bytes;
 - an 8-word release at 32 MB takes <= 2x the time of one at 1 MB;
+- the 10%-scattered release scales linearly: at the largest size it
+  takes at most 1.5x the data-size ratio times the release at the next
+  size (32 MB vs 8 MB: <= 6x, where a quadratic path reads ~16x);
 - the diff wins the paper's margin at every size: <= 60% of XDR's wire
   bytes, and faster end-to-end under the modeled LAN bandwidth
   (``REPRO_BENCH_DATASIZE_MBPS``, default 100 Mbit/s — the paper era's
@@ -64,9 +68,11 @@ or as a test::
 from __future__ import annotations
 
 import cProfile
+import contextlib
 import json
 import os
 import pstats
+import random
 import sys
 import tempfile
 import time
@@ -75,6 +81,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import numpy as np
 
+import legacy_dataplane
 from common import World, build_workload
 
 from repro import InProcHub, InterWeaveClient, InterWeaveServer, VirtualClock
@@ -82,7 +89,9 @@ from repro.arch import X86_32, PrimKind
 from repro.memory import PAGE_SIZE
 from repro.obs import get_registry, write_sidecar
 from repro.rpc import XDRTranslator
-from repro.wire import set_legacy_dataplane
+from repro.types import INT, ArrayDescriptor, encode_descriptor
+from repro.wire import RunColumns, decode_segment_diff, encode_segment_diff
+from repro.wire.diff import BlockDiff, SegmentDiff
 
 #: working-set sizes in MiB (the paper ran at 1; 8 and 32 are the
 #: "production data sizes" this data plane is built for)
@@ -106,6 +115,9 @@ SPARSE_POINTS_MB = (1, 32)
 #: the sparse release at the largest size may take at most this many
 #: times the smallest one
 SPARSE_SCALING_BOUND = 2.0
+#: slack over the data-size ratio allowed between the 10%-scattered
+#: releases at the two largest sizes (linear scaling plus 50%)
+LINEAR_SCALING_SLACK = 1.5
 #: functions that are, by construction, per-word Python loops — none may
 #: show up in the hot profile of an MB-scale release
 BANNED_HOT_FUNCTIONS = {"_collect_per_unit", "_apply_per_unit",
@@ -172,42 +184,40 @@ def _measure_release(data_bytes: int, legacy: bool,
                      deadline: _Deadline, rounds: int = ROUNDS) -> dict:
     """Best-of-N wall time of the full release path, plus the byte
     accounting (shipped diff size, copies) of one representative round."""
-    set_legacy_dataplane(legacy)
     registry = get_registry()
-    try:
-        with tempfile.TemporaryDirectory(prefix="bench-datasize-") as tmp:
-            world = _make_world(tmp)
-            workload = build_workload("int_array", world,
-                                      data_bytes=data_bytes)
-            client = world.client
-            times, accounting = [], None
-            for salt in range(rounds):
-                deadline.check(f"release round {salt}")
-                client.wl_acquire(workload.segment)
-                _modify_scattered(workload, salt)
-                before = _copy_counters(registry)
-                started = time.perf_counter()
-                client.wl_release(workload.segment)
-                times.append(time.perf_counter() - started)
-                if accounting is None:
-                    after = _copy_counters(registry)
-                    version = workload.segment.version
-                    encoded = world.server.diff_cache.get(
-                        workload.segment.name, version - 1, version)
-                    accounting = {
-                        "diff_wire_bytes": len(encoded) if encoded else 0,
-                        **{key: after[key] - before[key] for key in after},
-                    }
-            wire_bytes = max(accounting["diff_wire_bytes"], 1)
-            copied = sum(accounting[key] for key in _COPY_COUNTERS)
-            return {
-                "release_s": min(times),
-                "release_rounds_s": times,
-                "copy_amplification": copied / wire_bytes,
-                **accounting,
-            }
-    finally:
-        set_legacy_dataplane(False)
+    codec = (legacy_dataplane.installed() if legacy
+             else contextlib.nullcontext())
+    with codec, tempfile.TemporaryDirectory(prefix="bench-datasize-") as tmp:
+        world = _make_world(tmp)
+        workload = build_workload("int_array", world,
+                                  data_bytes=data_bytes)
+        client = world.client
+        times, accounting = [], None
+        for salt in range(rounds):
+            deadline.check(f"release round {salt}")
+            client.wl_acquire(workload.segment)
+            _modify_scattered(workload, salt)
+            before = _copy_counters(registry)
+            started = time.perf_counter()
+            client.wl_release(workload.segment)
+            times.append(time.perf_counter() - started)
+            if accounting is None:
+                after = _copy_counters(registry)
+                version = workload.segment.version
+                encoded = world.server.diff_cache.get(
+                    workload.segment.name, version - 1, version)
+                accounting = {
+                    "diff_wire_bytes": len(encoded) if encoded else 0,
+                    **{key: after[key] - before[key] for key in after},
+                }
+        wire_bytes = max(accounting["diff_wire_bytes"], 1)
+        copied = sum(accounting[key] for key in _COPY_COUNTERS)
+        return {
+            "release_s": min(times),
+            "release_rounds_s": times,
+            "copy_amplification": copied / wire_bytes,
+            **accounting,
+        }
 
 
 def _measure_sparse_release(data_bytes: int, deadline: _Deadline,
@@ -271,7 +281,6 @@ def _modeled_e2e(cpu_seconds: float, wire_bytes: int) -> float:
 def _profile_release(data_bytes: int, deadline: _Deadline) -> dict:
     """cProfile one release; return the top-N tottime functions and any
     banned per-word or per-page loops among them."""
-    set_legacy_dataplane(False)
     with tempfile.TemporaryDirectory(prefix="bench-datasize-") as tmp:
         world = _make_world(tmp)
         workload = build_workload("int_array", world, data_bytes=data_bytes)
@@ -338,6 +347,13 @@ def run_all() -> dict:
         "bound": SPARSE_SCALING_BOUND,
     }
 
+    smaller, larger = sorted(points, key=lambda point: point["mb"])[-2:]
+    linear_scaling = {
+        "mb": [smaller["mb"], larger["mb"]],
+        "ratio": larger["release_s"] / smaller["release_s"],
+        "bound": LINEAR_SCALING_SLACK * larger["mb"] / smaller["mb"],
+    }
+
     legacy_mb = max((mb for mb in POINTS_MB if mb <= LEGACY_MB),
                     default=min(POINTS_MB))
     deadline = _Deadline(f"datasize-legacy-{legacy_mb}MB")
@@ -358,6 +374,7 @@ def run_all() -> dict:
     results = {
         "points": points,
         "sparse_scaling": sparse_scaling,
+        "linear_scaling": linear_scaling,
         "legacy_baseline": legacy_baseline,
         "profile_gate": profile,
         "config": {
@@ -389,7 +406,7 @@ def _results() -> dict:
 
 def test_release_beats_legacy_dataplane_2x():
     """At 8 MB / 10% scattered writes the zero-copy data plane must
-    release >= 2x faster than the pre-change (legacy toggle) plane."""
+    release >= 2x faster than the pre-change (legacy codec) plane."""
     results = _results()
     baseline = results["legacy_baseline"]
     assert baseline["speedup"] >= 2.0, baseline
@@ -410,6 +427,14 @@ def test_sparse_release_flat_in_block_size():
     assert scaling["ratio"] <= scaling["bound"], scaling
 
 
+def test_scattered_release_scales_linearly():
+    """The 10%-scattered release at the largest size costs at most 1.5x
+    the data-size ratio times the release at the next size: the path is
+    linear in the diff, not quadratic."""
+    scaling = _results()["linear_scaling"]
+    assert scaling["ratio"] <= scaling["bound"], scaling
+
+
 def test_diff_beats_xdr_margin():
     """The paper's story at every size: the diff ships well under the
     full-transfer bytes and wins end-to-end on the modeled link."""
@@ -425,6 +450,55 @@ def test_no_per_word_python_loop_in_profile():
     results = _results()
     gate = results["profile_gate"]
     assert not gate["offenders"], gate["offenders"]
+
+
+def _random_segment_diff(rng: random.Random) -> SegmentDiff:
+    """A structurally valid diff exercising every block-diff shape."""
+    block_diffs = []
+    for serial in range(1, rng.randint(2, 6)):
+        kind = rng.choice(["plain", "named_new", "freed", "empty"])
+        runs, cursor = [], 0
+        for _ in range(rng.randint(0, 8) if kind != "freed" else 0):
+            cursor += rng.randint(0, 20)
+            count = rng.randint(1, 16)
+            runs.append((cursor, count, rng.randbytes(count * 4)))
+            cursor += count
+        columns = RunColumns.from_runs(runs)
+        if kind == "named_new":
+            block_diffs.append(BlockDiff(
+                serial=serial, columns=columns, is_new=True, type_serial=7,
+                name=f"block-{serial}", version=rng.randint(0, 9)))
+        elif kind == "freed":
+            block_diffs.append(BlockDiff(serial=serial, freed=True))
+        else:
+            block_diffs.append(BlockDiff(serial=serial, columns=columns,
+                                         version=rng.randint(0, 9)))
+    new_types = []
+    if rng.random() < 0.5:
+        new_types.append((7, encode_descriptor(ArrayDescriptor(INT, 4))))
+    return SegmentDiff("host/seg", rng.randint(1, 5), 6, block_diffs,
+                       new_types=new_types)
+
+
+def test_legacy_codec_roundtrips():
+    """The baseline codec round-trips any diff to an equal object, so
+    the release it prices does the same work as the columnar one."""
+    for seed in range(60):
+        diff = _random_segment_diff(random.Random(seed))
+        with legacy_dataplane.installed():
+            assert decode_segment_diff(encode_segment_diff(diff)) == diff
+
+
+def test_legacy_and_columnar_bodies_same_size():
+    """The columnar body reorders the legacy body's interleaved headers
+    and never adds bytes, so every size figure is codec-independent."""
+    for seed in range(60):
+        diff = _random_segment_diff(random.Random(seed))
+        columnar = encode_segment_diff(diff)
+        with legacy_dataplane.installed():
+            legacy = encode_segment_diff(diff)
+        assert len(legacy) == len(columnar)
+        assert decode_segment_diff(columnar) == diff
 
 
 def test_results_file_written():
@@ -456,6 +530,10 @@ def main() -> None:
         f"{point['mb']}MB {point['release_s'] * 1e3:.2f}m"
         for point in scaling["points"])
         + f" (ratio {scaling['ratio']:.2f}x, bound {scaling['bound']:.1f}x)")
+    linear = results["linear_scaling"]
+    print(f"10%-scattered release {linear['mb'][0]}MB -> "
+          f"{linear['mb'][1]}MB: {linear['ratio']:.2f}x "
+          f"(bound {linear['bound']:.1f}x)")
     baseline = results["legacy_baseline"]
     print(f"legacy data plane @ {baseline['mb']}MB: "
           f"{baseline['release_s'] * 1e3:.1f} ms/release "

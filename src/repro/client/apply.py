@@ -30,9 +30,8 @@ from typing import Optional
 from repro.errors import BlockError, TypeDescriptorError
 from repro.memory.heap import BlockInfo, SegmentHeap
 from repro.types import TypeRegistry, flat_layout
-from repro.wire import SegmentDiff, TranslationContext, apply_range
+from repro.wire import SegmentDiff, TranslationContext
 from repro.wire.translate import apply_runs
-from repro.errors import WireFormatError
 
 
 class ApplyStats:
@@ -99,15 +98,7 @@ def apply_update(tctx: TranslationContext, heap: SegmentHeap,
                 raise TypeDescriptorError(
                     f"block {block.serial}: wire type does not match cached type")
         layout = flat_layout(block.descriptor, tctx.arch, coalesce_layouts)
-        if not apply_runs(tctx, layout, block.address, block_diff.runs,
-                          columns=block_diff.columns):
-            for run in block_diff.runs:
-                end = apply_range(tctx, layout, block.address,
-                                  run.prim_start, run.prim_count, run.data)
-                if end != len(run.data):
-                    raise WireFormatError(
-                        f"block {block.serial}: {len(run.data) - end} "
-                        "trailing bytes in run")
+        apply_runs(tctx, layout, block.address, block_diff.columns)
         block.version = max(block.version, block_diff.version)
         predicted = _next_block_in_memory(block)
 

@@ -29,7 +29,7 @@ steps 1–3 are skipped entirely.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,9 +37,8 @@ from repro.memory.heap import BlockInfo, SegmentHeap, SubSegment
 from repro.memory.mmu import AddressSpace
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.types import flat_layout
-from repro.wire import (BlockDiff, DiffRun, SegmentDiff, TranslationContext,
-                        block_diff_from_columns, collect_range)
-from repro.wire.translate import collect_runs, collect_runs_columns
+from repro.wire import BlockDiff, SegmentDiff, TranslationContext
+from repro.wire.translate import collect_runs
 
 #: unchanged words between two changed runs that are spliced over
 SPLICE_MAX_GAP_WORDS = 2
@@ -85,13 +84,6 @@ def word_diff_arrays(memory: AddressSpace, subsegment: SubSegment,
     return starts, ends
 
 
-def word_diff_pages(memory: AddressSpace, subsegment: SubSegment,
-                    word_size: int, max_gap: int = 0) -> List[Tuple[int, int]]:
-    """Tuple-returning wrapper around :func:`word_diff_arrays`."""
-    starts, ends = word_diff_arrays(memory, subsegment, word_size, max_gap)
-    return [(int(start), int(end - start)) for start, end in zip(starts, ends)]
-
-
 def changed_byte_arrays(memory: AddressSpace, subsegment: SubSegment,
                         word_size: int, splice: bool = True):
     """Absolute changed byte ranges as arrays (starts, ends), spliced."""
@@ -99,13 +91,6 @@ def changed_byte_arrays(memory: AddressSpace, subsegment: SubSegment,
     starts, ends = word_diff_arrays(memory, subsegment, word_size, max_gap)
     return (subsegment.base + starts * word_size,
             subsegment.base + ends * word_size)
-
-
-def changed_byte_runs(memory: AddressSpace, subsegment: SubSegment, word_size: int,
-                      splice: bool = True) -> List[Tuple[int, int]]:
-    """Absolute (address, length) byte runs of modification, spliced."""
-    starts, ends = changed_byte_arrays(memory, subsegment, word_size, splice)
-    return [(int(start), int(end - start)) for start, end in zip(starts, ends)]
 
 
 def map_ranges_to_blocks(subsegment: SubSegment, byte_starts, byte_ends,
@@ -154,18 +139,6 @@ def map_ranges_to_blocks(subsegment: SubSegment, byte_starts, byte_ends,
         if prim_starts.size:
             per_block[block.serial] = (prim_starts, prim_counts)
     return per_block
-
-
-def map_runs_to_blocks(subsegment: SubSegment, byte_runs, skip_serials, arch,
-                       coalesce_layouts: bool = True) -> Dict[int, List[Tuple[int, int]]]:
-    """Tuple-based wrapper around :func:`map_ranges_to_blocks`."""
-    runs = sorted(byte_runs)
-    starts = np.fromiter((s for s, _ in runs), np.int64, len(runs))
-    ends = np.fromiter((s + c for s, c in runs), np.int64, len(runs))
-    mapped = map_ranges_to_blocks(subsegment, starts, ends, skip_serials,
-                                  arch, coalesce_layouts)
-    return {serial: list(zip(prim_starts.tolist(), prim_counts.tolist()))
-            for serial, (prim_starts, prim_counts) in mapped.items()}
 
 
 class CollectTimers:
@@ -253,23 +226,11 @@ def collect_write_diff(tctx: TranslationContext, heap: SegmentHeap,
                 # block-level no-diff: mostly modified, send it whole
                 prim_starts = np.array([0], np.int64)
                 prim_counts = np.array([layout.prim_count], np.int64)
-            columns = collect_runs_columns(tctx, layout, block.address,
-                                           prim_starts, prim_counts)
-            if columns is not None:
-                # columnar fast path: one gathered payload buffer, no
-                # per-run DiffRun objects (an MB-scale scattered write
-                # produces hundreds of thousands of runs)
-                block_diff = block_diff_from_columns(serial, columns)
-            else:
-                buffers = collect_runs(tctx, layout, block.address,
-                                       prim_starts, prim_counts)
-                block_diff = BlockDiff(serial=serial, runs=[
-                    DiffRun(start, count, buffer)
-                    for start, count, buffer in zip(
-                        prim_starts.tolist(), prim_counts.tolist(), buffers)
-                ])
+            diff.block_diffs.append(BlockDiff(
+                serial=serial,
+                columns=collect_runs(tctx, layout, block.address,
+                                     prim_starts, prim_counts)))
             modified_units += int(prim_counts.sum())
-            diff.block_diffs.append(block_diff)
         timers.translate_seconds += time.perf_counter() - started
     else:
         # no-diff mode: transmit every pre-existing block in full
@@ -278,10 +239,10 @@ def collect_write_diff(tctx: TranslationContext, heap: SegmentHeap,
             if block.serial in created_serials:
                 continue
             layout = flat_layout(block.descriptor, arch, coalesce_layouts)
-            data = collect_range(tctx, layout, block.address, 0, layout.prim_count)
             diff.block_diffs.append(BlockDiff(
                 serial=block.serial,
-                runs=[DiffRun(0, layout.prim_count, data)]))
+                columns=collect_runs(tctx, layout, block.address,
+                                     [0], [layout.prim_count])))
             modified_units += layout.prim_count
         timers.translate_seconds += time.perf_counter() - started
 
@@ -289,10 +250,11 @@ def collect_write_diff(tctx: TranslationContext, heap: SegmentHeap,
     started = time.perf_counter()
     for block in created:
         layout = flat_layout(block.descriptor, arch, coalesce_layouts)
-        data = collect_range(tctx, layout, block.address, 0, layout.prim_count)
         diff.block_diffs.append(BlockDiff(
             serial=block.serial, is_new=True, type_serial=block.type_serial,
-            name=block.name, runs=[DiffRun(0, layout.prim_count, data)]))
+            name=block.name,
+            columns=collect_runs(tctx, layout, block.address,
+                                 [0], [layout.prim_count])))
     timers.translate_seconds += time.perf_counter() - started
 
     metrics.counter("client.collect.runs",
@@ -302,7 +264,7 @@ def collect_write_diff(tctx: TranslationContext, heap: SegmentHeap,
                         "collections that transmitted whole blocks").inc()
     metrics.counter("client.collect.diff_runs",
                     "RLE runs emitted by diff collection").inc(
-        sum(len(bd.runs) for bd in diff.block_diffs))
+        sum(bd.columns.run_count for bd in diff.block_diffs))
     metrics.counter("client.collect.rle_bytes",
                     "wire payload bytes emitted by diff collection").inc(
         diff.payload_bytes())

@@ -31,10 +31,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import ServerError
-from repro.wire import (BlockDiff, RunColumns, SegmentDiff,
-                        block_diff_from_columns, count_bytes_copied,
+from repro.wire import (BlockDiff, RunColumns, SegmentDiff, count_bytes_copied,
                         decode_segment_diff)
-from repro.wire.diff import columns_of
 
 
 def _covered(starts: np.ndarray, ends: np.ndarray,
@@ -100,7 +98,7 @@ class _BlockChain:
 
     def __init__(self, head: BlockDiff):
         self.head = head
-        self.chain = [] if head.freed else [columns_of(head)]
+        self.chain = [] if head.freed else [head.columns]
         self.version = head.version
 
     def extend(self, incoming: BlockDiff) -> "_BlockChain":
@@ -113,7 +111,7 @@ class _BlockChain:
             raise ServerError(f"serial {incoming.serial} re-created within range")
         if incoming.is_new:
             return _BlockChain(incoming)
-        self.chain.append(columns_of(incoming))
+        self.chain.append(incoming.columns)
         self.version = max(self.version, incoming.version)
         return self
 
@@ -121,9 +119,10 @@ class _BlockChain:
         head = self.head
         if head.freed:
             return BlockDiff(serial=head.serial, freed=True, version=head.version)
-        return block_diff_from_columns(
-            head.serial, _compose_columns(self.chain), is_new=head.is_new,
-            type_serial=head.type_serial, name=head.name, version=self.version)
+        return BlockDiff(
+            serial=head.serial, columns=_compose_columns(self.chain),
+            is_new=head.is_new, type_serial=head.type_serial, name=head.name,
+            version=self.version)
 
 
 def compose_diffs(parts: List[SegmentDiff]) -> SegmentDiff:

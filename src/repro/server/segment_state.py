@@ -28,20 +28,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.arch import Architecture
-from repro.errors import ServerError, WireFormatError
+from repro.errors import ServerError
 from repro.memory import AddressSpace, Heap, SegmentHeap
 from repro.types import TypeRegistry, flat_layout
 from repro.types.layout import merge_run_arrays
-from repro.wire import (
-    BlockDiff,
-    DiffRun,
-    SegmentDiff,
-    TranslationContext,
-    apply_range,
-    block_diff_from_columns,
-    collect_range,
-)
-from repro.wire.translate import apply_runs, collect_runs, collect_runs_columns
+from repro.wire import BlockDiff, SegmentDiff, TranslationContext, collect_range
+from repro.wire.translate import apply_runs, collect_runs
 
 #: The synthetic architecture server images are laid out in: big-endian and
 #: byte-packed, so fixed-size data is stored directly in wire format.
@@ -235,15 +227,7 @@ class ServerSegment:
             if created is not None:
                 created.append(serial)
         layout = flat_layout(block.info.descriptor, SERVER_ARCH)
-        if not apply_runs(self._tctx, layout, block.info.address,
-                          block_diff.runs, columns=block_diff.columns):
-            for run in block_diff.runs:
-                end = apply_range(self._tctx, layout, block.info.address,
-                                  run.prim_start, run.prim_count, run.data)
-                if end != len(run.data):
-                    raise WireFormatError(
-                        f"block {serial}: run data has {len(run.data) - end} "
-                        "trailing bytes")
+        apply_runs(self._tctx, layout, block.info.address, block_diff.columns)
         self._stamp_subblocks(block, block_diff, new_version)
         block.version = new_version
         block.info.version = new_version
@@ -256,16 +240,9 @@ class ServerSegment:
 
         Only the touched subblocks are indexed (one repeat/arange over the
         runs' subblock spans), so stamping costs follow the runs, not the
-        block.  A columnar diff supplies its start/count arrays directly;
-        only the per-run object path pays the ``fromiter`` walk.
+        block.
         """
-        cols = block_diff.columns
-        if cols is not None:
-            starts, counts = cols.starts, cols.counts
-        else:
-            runs = block_diff.runs
-            starts = np.fromiter((r.prim_start for r in runs), np.int64, len(runs))
-            counts = np.fromiter((r.prim_count for r in runs), np.int64, len(runs))
+        starts, counts = block_diff.columns.starts, block_diff.columns.counts
         if not starts.size:
             return
         firsts = starts // SUBBLOCK_UNITS
@@ -326,24 +303,11 @@ class ServerSegment:
             starts, ends = merge_run_arrays(stale * SUBBLOCK_UNITS,
                                             (stale + 1) * SUBBLOCK_UNITS)
             ends = np.minimum(ends, block.prim_count)
-        counts = ends - starts
-        columns = collect_runs_columns(self._tctx, layout, block.info.address,
-                                       starts, counts)
-        if columns is not None:
-            return block_diff_from_columns(
-                block.serial, columns, is_new=is_new,
-                type_serial=block.info.type_serial if is_new else 0,
-                name=block.info.name if is_new else None,
-                version=block.version)
-        buffers = collect_runs(self._tctx, layout, block.info.address,
-                               starts, counts)
-        diff_runs = [
-            DiffRun(start, count, buffer)
-            for start, count, buffer in zip(starts.tolist(), counts.tolist(),
-                                            buffers)
-        ]
         return BlockDiff(
-            serial=block.serial, runs=diff_runs, is_new=is_new,
+            serial=block.serial,
+            columns=collect_runs(self._tctx, layout, block.info.address,
+                                 starts, ends - starts),
+            is_new=is_new,
             type_serial=block.info.type_serial if is_new else 0,
             name=block.info.name if is_new else None,
             version=block.version)

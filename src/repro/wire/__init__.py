@@ -3,14 +3,10 @@
 from repro.wire.codec import Reader, Writer, count_bytes_copied
 from repro.wire.diff import (
     BlockDiff,
-    DiffRun,
     RunColumns,
     SegmentDiff,
-    block_diff_from_columns,
     decode_segment_diff,
     encode_segment_diff,
-    legacy_dataplane_enabled,
-    set_legacy_dataplane,
 )
 from repro.wire.mip import MIP, format_mip, parse_mip
 from repro.wire.translate import (
@@ -25,7 +21,6 @@ from repro.wire import messages
 
 __all__ = [
     "BlockDiff",
-    "DiffRun",
     "MIP",
     "Reader",
     "RunColumns",
@@ -34,16 +29,13 @@ __all__ = [
     "Writer",
     "apply_block",
     "apply_range",
-    "block_diff_from_columns",
     "collect_block",
     "collect_range",
     "count_bytes_copied",
     "decode_segment_diff",
     "encode_segment_diff",
     "format_mip",
-    "legacy_dataplane_enabled",
     "messages",
     "parse_mip",
-    "set_legacy_dataplane",
     "wire_size_of_range",
 ]

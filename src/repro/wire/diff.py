@@ -15,34 +15,23 @@ optional symbolic name), freed blocks, and any type descriptors the
 receiver has not seen yet.
 
 Data-plane layout.  A 10%-scattered write over an MB-scale segment
-produces hundreds of thousands of small runs, so the codec keeps runs in
-*columnar* form end to end: a block diff body is ``run_count`` 12-byte
-header rows (``>u4`` prim_start, prim_count, data_len) followed by one
-concatenated data section.  Encoding is two buffer splices (one numpy
-header array, one payload buffer) and decoding is one ``np.frombuffer``
-plus two ``memoryview`` slices — no per-run Python loop and no per-run
-copy.  Decoded :class:`BlockDiff` objects expose ``.columns``
-(:class:`RunColumns`) for vectorized apply/stamp/re-encode; ``.runs``
-materializes :class:`DiffRun` objects lazily for code that wants the
-object view.  ``DiffRun.data`` may be ``bytes`` or a ``memoryview``
-aliasing the receive buffer; materialization happens only at mutation or
-retention boundaries (see :func:`decode_segment_diff`).
-
-The pre-columnar interleaved format (8-byte run header + per-run blob,
-nested scratch-Writer encode, per-run copying decode) is kept behind
-:func:`set_legacy_dataplane` as the measured baseline for
-``benchmarks/bench_datasize.py``.  Total body size is identical in both
-formats (12 bytes of framing per run either way), so size accounting and
-the paper's diff-length story are unaffected by the toggle.
+produces hundreds of thousands of small runs, so a block diff's runs live
+in one form only, *columnar* (:class:`RunColumns`): parallel start/count/
+length arrays plus one concatenated payload buffer.  On the wire a block
+diff body is ``run_count`` 12-byte header rows (``>u4`` prim_start,
+prim_count, data_len) followed by that data section.  Encoding is two
+buffer splices (one numpy header array, one payload buffer) and decoding
+is one ``np.frombuffer`` plus two ``memoryview`` slices — no per-run
+Python loop and no per-run copy.  A decoded payload may be a
+``memoryview`` aliasing the receive buffer; materialization happens only
+at mutation or retention boundaries (see :func:`decode_segment_diff`).
 """
 
 from __future__ import annotations
 
-import os
-import struct
-from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from itertools import accumulate
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -51,52 +40,22 @@ from repro.obs.metrics import get_registry
 from repro.wire.codec import (Reader as _Reader, Writer as _Writer,
                               count_bytes_copied)
 
-_U32 = struct.Struct(">I")
-_RUN_HEADER = struct.Struct(">II")        # legacy interleaved header
-_RUN_HEADER3 = struct.Struct(">III")      # columnar header row
-_RUN_HEADER_BYTES = 12
+_RUN_HEADER_BYTES = 12  # >u4 prim_start, prim_count, data_len
 _U32_MAX = 0xFFFFFFFF
-
-# Baseline toggle: when enabled, encode/decode use the pre-columnar
-# interleaved format and copying decode so benchmarks can measure the
-# old data plane.  The two formats are not interoperable on the wire;
-# flip the mode per process (or per benchmark phase), not per peer.
-_LEGACY_DATAPLANE = os.environ.get(
-    "REPRO_WIRE_LEGACY_DATAPLANE", "") not in ("", "0")
-
-
-def set_legacy_dataplane(enabled: bool) -> bool:
-    """Select the legacy (pre-columnar) diff codec; returns the old mode."""
-    global _LEGACY_DATAPLANE
-    previous = _LEGACY_DATAPLANE
-    _LEGACY_DATAPLANE = bool(enabled)
-    return previous
-
-
-def legacy_dataplane_enabled() -> bool:
-    return _LEGACY_DATAPLANE
-
 
 RunData = Union[bytes, memoryview]
 
 
-@dataclass
-class DiffRun:
-    """One RLE change section: start and length in primitive data units."""
-
-    prim_start: int
-    prim_count: int
-    data: RunData  # the updated units, already in wire format
-
-
 class RunColumns:
-    """Columnar storage for a block diff's runs.
+    """A block diff's runs, the one in-memory form of the paper's RLE body.
 
-    ``starts``/``counts``/``lens`` are parallel ``int64`` arrays, ``data``
-    is the single concatenated payload buffer (``bytes`` or a
-    ``memoryview`` over the receive buffer), and ``bounds`` is the
-    exclusive prefix sum of ``lens`` (``bounds[i]:bounds[i+1]`` slices run
-    *i*'s payload out of ``data``).
+    ``starts``/``counts``/``lens`` are parallel ``int64`` arrays (start
+    and length in primitive units, payload length in bytes), ``data`` is
+    the single concatenated payload buffer (``bytes`` or a ``memoryview``
+    over the receive buffer), and ``bounds`` is the exclusive prefix sum
+    of ``lens`` (``bounds[i]:bounds[i+1]`` slices run *i*'s payload out of
+    ``data``).  Iterating yields ``(prim_start, prim_count, data)``
+    triples, with each payload a view of ``data``.
     """
 
     __slots__ = ("starts", "counts", "lens", "bounds", "data")
@@ -112,6 +71,27 @@ class RunColumns:
             bounds = np.zeros(len(lens) + 1, dtype=np.int64)
             np.cumsum(lens, out=bounds[1:])
         self.bounds = bounds
+
+    @classmethod
+    def from_runs(cls, runs: Iterable[Tuple[int, int, RunData]] = ()
+                  ) -> "RunColumns":
+        """Columns from ``(prim_start, prim_count, data)`` triples.
+
+        Several payloads are joined into one buffer; a single payload is
+        kept as it is.
+        """
+        runs = list(runs)
+        payloads = [run[2] for run in runs]
+        lens = [len(payload) for payload in payloads]
+        if len(payloads) == 1:
+            data = payloads[0]
+        else:
+            data = b"".join(payloads)
+            count_bytes_copied(len(data))
+        return cls(np.array([run[0] for run in runs], np.int64),
+                   np.array([run[1] for run in runs], np.int64),
+                   np.array(lens, np.int64), data,
+                   np.array([0, *accumulate(lens)], np.int64))
 
     @property
     def run_count(self) -> int:
@@ -130,64 +110,23 @@ class RunColumns:
             self.data = bytes(self.data)
             count_bytes_copied(len(self.data))
 
-
-class _LazyRuns(_SequenceABC):
-    """List-like view of :class:`RunColumns`, materialized on first access.
-
-    The server's release path only touches the columns (vectorized apply,
-    stamp and re-encode), so the per-run ``DiffRun`` objects — hundreds of
-    thousands for an MB-scale scattered write — are never built there.
-    Compares equal to any sequence with the same run values, which keeps
-    dataclass equality on :class:`BlockDiff` intact.
-    """
-
-    __slots__ = ("columns", "_list")
-
-    def __init__(self, columns: RunColumns):
-        self.columns = columns
-        self._list = None
-
-    def _materialize(self) -> List[DiffRun]:
-        if self._list is None:
-            cols = self.columns
-            data = cols.data
-            bounds = cols.bounds.tolist()
-            self._list = [
-                DiffRun(start, count, data[bounds[i]:bounds[i + 1]])
-                for i, (start, count) in enumerate(
-                    zip(cols.starts.tolist(), cols.counts.tolist()))
-            ]
-            if isinstance(data, (bytes, bytearray)):
-                # slicing bytes copies; slicing a memoryview does not
-                count_bytes_copied(cols.data_bytes)
-        return self._list
-
-    def __len__(self) -> int:
-        if self._list is not None:
-            return len(self._list)
-        return self.columns.run_count
-
-    def __iter__(self):
-        return iter(self._materialize())
-
-    def __getitem__(self, index):
-        return self._materialize()[index]
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
+    def __iter__(self) -> Iterator[Tuple[int, int, memoryview]]:
+        view = memoryview(self.data)
+        bounds = self.bounds.tolist()
+        for index, (start, count) in enumerate(
+                zip(self.starts.tolist(), self.counts.tolist())):
+            yield start, count, view[bounds[index]:bounds[index + 1]]
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, _LazyRuns):
-            other = other._materialize()
-        if not isinstance(other, (list, tuple)):
-            try:
-                other = list(other)
-            except TypeError:
-                return NotImplemented
-        return self._materialize() == list(other)
+        if not isinstance(other, RunColumns):
+            return NotImplemented
+        return (np.array_equal(self.starts, other.starts)
+                and np.array_equal(self.counts, other.counts)
+                and np.array_equal(self.lens, other.lens)
+                and self.data == other.data)
 
     def __repr__(self) -> str:
-        return repr(self._materialize())
+        return f"RunColumns({[(s, c, bytes(d)) for s, c, d in self]!r})"
 
 
 @dataclass
@@ -199,60 +138,23 @@ class BlockDiff:
     ``version`` is the segment version in which the block was last
     modified (server -> client direction; informs locality layout).
     A block diff with ``freed`` set tombstones a deallocated block.
-
-    ``columns`` (when present) is the authoritative columnar form of
-    ``runs``; code that *replaces* ``runs`` must construct a fresh
-    :class:`BlockDiff` (or clear ``columns``) so the two never diverge.
     """
 
     serial: int
-    runs: Sequence[DiffRun] = field(default_factory=list)
+    columns: RunColumns = field(default_factory=RunColumns.from_runs)
     is_new: bool = False
     freed: bool = False
     type_serial: int = 0
     name: Optional[str] = None
     version: int = 0
-    columns: Optional[RunColumns] = field(
-        default=None, compare=False, repr=False)
 
     @property
     def data_bytes(self) -> int:
         """Payload bytes (the paper's per-block 'diff length')."""
-        if self.columns is not None:
-            return self.columns.data_bytes
-        return sum(len(run.data) for run in self.runs)
+        return self.columns.data_bytes
 
     def covered_units(self) -> int:
-        if self.columns is not None:
-            return self.columns.covered_units()
-        return sum(run.prim_count for run in self.runs)
-
-
-def join_runs(runs: Sequence[DiffRun]) -> RunColumns:
-    """Columnar form of a ``DiffRun`` list (one payload join)."""
-    starts = np.fromiter((r.prim_start for r in runs), np.int64, len(runs))
-    counts = np.fromiter((r.prim_count for r in runs), np.int64, len(runs))
-    lens = np.fromiter((len(r.data) for r in runs), np.int64, len(runs))
-    data = b"".join(r.data for r in runs)
-    count_bytes_copied(len(data))
-    return RunColumns(starts, counts, lens, data)
-
-
-def columns_of(block_diff: BlockDiff) -> RunColumns:
-    """A block diff's runs in columnar form, joined from ``runs`` if needed."""
-    if block_diff.columns is not None:
-        return block_diff.columns
-    return join_runs(block_diff.runs)
-
-
-def block_diff_from_columns(serial: int, columns: RunColumns, *,
-                            is_new: bool = False, freed: bool = False,
-                            type_serial: int = 0, name: Optional[str] = None,
-                            version: int = 0) -> BlockDiff:
-    """Build a BlockDiff whose runs stay columnar until someone asks."""
-    return BlockDiff(serial=serial, runs=_LazyRuns(columns), is_new=is_new,
-                     freed=freed, type_serial=type_serial, name=name,
-                     version=version, columns=columns)
+        return self.columns.covered_units()
 
 
 @dataclass
@@ -282,18 +184,7 @@ class SegmentDiff:
         ``bytes`` never need this — the views pin the buffer.
         """
         for block_diff in self.block_diffs:
-            if block_diff.columns is not None:
-                block_diff.columns.materialize()
-                runs = block_diff.runs
-                if isinstance(runs, _LazyRuns):
-                    runs._list = None  # re-slice from the owned copy
-                continue
-            copied = 0
-            for run in block_diff.runs:
-                if not isinstance(run.data, bytes):
-                    run.data = bytes(run.data)
-                    copied += len(run.data)
-            count_bytes_copied(copied)
+            block_diff.columns.materialize()
 
 
 # ---------------------------------------------------------------------------
@@ -321,32 +212,6 @@ def _encode_runs_columnar(out: _Writer, cols: RunColumns) -> None:
     count_bytes_copied(cols.data_bytes)
 
 
-def _encode_runs_rows(out: _Writer, runs: Sequence[DiffRun]) -> None:
-    pack = _RUN_HEADER3.pack
-    for run in runs:
-        out.raw(pack(run.prim_start, run.prim_count, len(run.data)))
-    total = 0
-    for run in runs:
-        out.raw(run.data)
-        total += len(run.data)
-    count_bytes_copied(total)
-
-
-def _encode_runs_legacy(out: _Writer, runs: Sequence[DiffRun]) -> None:
-    # the pre-columnar body: interleaved headers/blobs built in a scratch
-    # Writer and re-copied into the output (kept verbatim as the
-    # bench_datasize baseline)
-    body = _Writer()
-    copied = 0
-    for run in runs:
-        body.raw(_RUN_HEADER.pack(run.prim_start, run.prim_count))
-        body.blob(run.data)
-        copied += len(run.data)
-    encoded_body = body.getvalue()
-    out.raw(encoded_body)
-    count_bytes_copied(copied + 2 * len(encoded_body))
-
-
 def encode_block_diff(diff: BlockDiff, writer: Optional[_Writer] = None) -> bytes:
     out = writer if writer is not None else _Writer()
     out.u32(diff.serial)
@@ -363,37 +228,11 @@ def encode_block_diff(diff: BlockDiff, writer: Optional[_Writer] = None) -> byte
     # the length word is reserved up front and backpatched once the body
     # has been encoded in place (no scratch buffer, no re-copy)
     body_length_at = out.reserve_u32()
-    out.u32(len(diff.runs))
+    out.u32(diff.columns.run_count)
     body_start = out.tell()
-    if _LEGACY_DATAPLANE:
-        _encode_runs_legacy(out, diff.runs)
-    elif diff.columns is not None:
-        _encode_runs_columnar(out, diff.columns)
-    else:
-        _encode_runs_rows(out, diff.runs)
+    _encode_runs_columnar(out, diff.columns)
     out.patch_u32(body_length_at, out.tell() - body_start)
     return out.getvalue() if writer is None else b""
-
-
-def _decode_runs_legacy(reader: _Reader, run_count: int,
-                        body_end: int) -> List[DiffRun]:
-    """The pre-columnar copying decode (bench_datasize baseline)."""
-    runs: List[DiffRun] = []
-    copied = 0
-    for _ in range(run_count):
-        try:
-            prim_start, prim_count = _RUN_HEADER.unpack_from(
-                reader.data, reader.offset)
-        except struct.error:
-            raise WireFormatError("diff buffer truncated in run header") from None
-        reader.offset += _RUN_HEADER.size
-        data = reader.blob()
-        copied += len(data)
-        runs.append(DiffRun(prim_start, prim_count, data))
-    if reader.offset != body_end:
-        raise WireFormatError("block diff body length mismatch")
-    count_bytes_copied(copied)
-    return runs
 
 
 def _decode_runs_columnar(reader: _Reader, run_count: int,
@@ -411,9 +250,7 @@ def _decode_runs_columnar(reader: _Reader, run_count: int,
     if run_count == 0:
         if body_length:
             raise WireFormatError("block diff body length mismatch")
-        empty = np.empty(0, dtype=np.int64)
-        return RunColumns(empty, empty, empty, b"",
-                          np.zeros(1, dtype=np.int64))
+        return RunColumns.from_runs()
     headers = np.frombuffer(reader.raw_view(header_bytes),
                             dtype=">u4").reshape(run_count, 3).astype(np.int64)
     data = reader.raw_view(body_length - header_bytes)
@@ -433,22 +270,14 @@ def decode_block_diff(reader: _Reader) -> BlockDiff:
     name = reader.text() if flags & _FLAG_NAMED else None
     body_length = reader.u32()
     run_count = reader.u32()
-    if _LEGACY_DATAPLANE:
-        runs: Sequence[DiffRun] = _decode_runs_legacy(
-            reader, run_count, reader.offset + body_length)
-        columns = None
-    else:
-        columns = _decode_runs_columnar(reader, run_count, body_length)
-        runs = _LazyRuns(columns)
     return BlockDiff(
         serial=serial,
-        runs=runs,
+        columns=_decode_runs_columnar(reader, run_count, body_length),
         is_new=bool(flags & _FLAG_NEW),
         freed=bool(flags & _FLAG_FREED),
         type_serial=type_serial,
         name=name,
         version=version,
-        columns=columns,
     )
 
 
@@ -476,7 +305,7 @@ def encode_segment_diff_into(out: _Writer, diff: SegmentDiff) -> int:
     metrics.counter("wire.diff.encoded").inc()
     metrics.counter("wire.diff.encoded_bytes").inc(written)
     metrics.counter("wire.diff.runs_encoded").inc(
-        sum(len(bd.runs) for bd in diff.block_diffs))
+        sum(bd.columns.run_count for bd in diff.block_diffs))
     return written
 
 

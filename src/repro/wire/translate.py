@@ -39,7 +39,7 @@ from repro.memory.mmu import AddressSpace
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.types import FlatLayout, iter_units
 from repro.wire.codec import count_bytes_copied
-from repro.wire.diff import RunColumns, join_runs
+from repro.wire.diff import RunColumns
 
 #: Length-header codec for variable-size units (strings and MIPs).
 _LEN = struct.Struct(">I")
@@ -283,6 +283,13 @@ def _apply_strided(ctx, layout, base, prim_start, prim_end, data, offset) -> int
     return offset
 
 
+def _read_length(data: bytes, offset: int) -> int:
+    """The length header of a string or MIP unit."""
+    if offset + _LEN.size > len(data):
+        raise WireFormatError("wire diff truncated in length header")
+    return _LEN.unpack_from(data, offset)[0]
+
+
 def _apply_per_unit(ctx, layout, base, prim_start, prim_end, data, offset) -> int:
     if not isinstance(data, (bytes, bytearray)):
         # string/pointer handling concatenates and decodes, which needs
@@ -295,7 +302,7 @@ def _apply_per_unit(ctx, layout, base, prim_start, prim_end, data, offset) -> in
         address = base + run.unit_local_offset(i, j)
         kind = run.kind
         if kind is PrimKind.STRING:
-            (length,) = _LEN.unpack_from(data, offset)
+            length = _read_length(data, offset)
             offset += _LEN.size
             content = data[offset:offset + length]
             if len(content) != length:
@@ -306,7 +313,7 @@ def _apply_per_unit(ctx, layout, base, prim_start, prim_end, data, offset) -> in
                     f"wire string of {length} bytes exceeds capacity {run.capacity}")
             memory.store(address, content + b"\x00" * (run.capacity - length))
         elif kind is PrimKind.POINTER:
-            (length,) = _LEN.unpack_from(data, offset)
+            length = _read_length(data, offset)
             offset += _LEN.size
             text = data[offset:offset + length]
             if len(text) != length:
@@ -315,7 +322,11 @@ def _apply_per_unit(ctx, layout, base, prim_start, prim_end, data, offset) -> in
             if length == 0:
                 pointer = 0
             else:
-                pointer = ctx.mip_to_pointer(text.decode("utf-8"))
+                try:
+                    mip = text.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise WireFormatError("MIP is not valid UTF-8") from None
+                pointer = ctx.mip_to_pointer(mip)
                 ctx._m_unswizzled.inc()
             memory.store(address, ctx.arch.encode_prim(PrimKind.POINTER, pointer))
         else:
@@ -399,36 +410,24 @@ def _unit_indices(run, starts: np.ndarray, counts: np.ndarray):
 
 
 def collect_runs(ctx: TranslationContext, layout: FlatLayout, base: int,
-                 starts, counts) -> List[bytes]:
-    """Translate unit runs one by one; returns one wire buffer per run.
+                 starts, counts) -> RunColumns:
+    """Translate unit runs ``[start, start+count)`` into one columnar payload.
 
-    The per-run path, for layouts :func:`collect_runs_columns` does not
-    batch (records, strings, pointers) and for diffs of a handful of runs,
-    where contiguous per-run slices beat building index arrays.
+    A layout of one dense fixed-size run with more than four runs to
+    collect gathers every unit in one batch, straight out of memory by
+    unit index (:meth:`AddressSpace.gather`), so the cost follows the
+    runs, not the block.  Anything else (records, strings, pointers, or
+    a handful of runs, where contiguous per-run slices beat building
+    index arrays) is translated run by run and the per-run wire buffers
+    are joined.
     """
-    return [collect_range(ctx, layout, base, int(start), int(count))
-            for start, count in zip(np.asarray(starts).tolist(),
-                                    np.asarray(counts).tolist())]
-
-
-def collect_runs_columns(ctx: TranslationContext, layout: FlatLayout,
-                         base: int, starts, counts) -> Optional[RunColumns]:
-    """Translate many unit runs at once into one columnar payload.
-
-    The units are gathered straight out of memory by unit index
-    (:meth:`AddressSpace.gather`), so the cost follows the runs, not the
-    block.  Returns a :class:`RunColumns` whose ``data`` is the single
-    gathered wire buffer, or None when the layout has no batched path /
-    the run count is too small to be worth it — callers fall back to
-    :func:`collect_runs`.
-    """
-    run = _single_dense_run(layout)
-    if run is None:
-        return None
     starts = np.asarray(starts, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
-    if starts.size <= 4:
-        return None
+    run = _single_dense_run(layout)
+    if run is None or starts.size <= 4:
+        return RunColumns.from_runs(
+            (start, count, collect_range(ctx, layout, base, start, count))
+            for start, count in zip(starts.tolist(), counts.tolist()))
     units, bounds = _unit_indices(run, starts, counts)
     data = ctx.memory.gather(base + run.local_start, run.unit_size, units)
     if ctx.arch.endian == "little" and run.unit_size > 1:
@@ -438,29 +437,25 @@ def collect_runs_columns(ctx: TranslationContext, layout: FlatLayout,
 
 
 def apply_runs(ctx: TranslationContext, layout: FlatLayout, base: int,
-               runs, columns: Optional[RunColumns] = None) -> bool:
-    """Apply many (prim_start, prim_count, data) runs in one scatter.
+               columns: RunColumns) -> None:
+    """Apply a block diff's runs to local memory.
 
-    Returns False when the layout has no batched path or there are too
-    few runs to be worth it (caller falls back to per-run
-    :func:`apply_range`).  Runs must be in-bounds and their data exactly
-    sized — the same validation apply_range performs.
-
-    When ``columns`` is given (a decoded diff's :class:`RunColumns`),
-    the scatter reads straight from the columnar payload buffer — which
-    may be a memoryview over the receive buffer — with no join and no
-    per-run attribute walk.  Only the units the runs name are written
-    (:meth:`AddressSpace.scatter`); the rest of the block is untouched.
+    The batched path (one dense fixed-size run, more than four runs)
+    scatters every unit in one call (:meth:`AddressSpace.scatter`),
+    reading straight from the columnar payload — which may be a
+    memoryview over the receive buffer.  Otherwise each run is applied
+    from its slice of the payload by :func:`apply_range`.  Either way
+    only the units the runs name are written, runs must lie inside the
+    block and every run's data must be exactly consumed.
     """
     run = _single_dense_run(layout)
-    if run is None:
-        return False
-    if columns is None:
-        if len(runs) <= 4:
-            return False
-        columns = join_runs(runs)
-    elif columns.run_count <= 4:
-        return False  # few runs: per-run apply_range is cheaper
+    if run is None or columns.run_count <= 4:
+        for start, count, data in columns:
+            end = apply_range(ctx, layout, base, start, count, data)
+            if end != len(data):
+                raise WireFormatError(
+                    f"{len(data) - end} trailing bytes in run at unit {start}")
+        return
     starts = columns.starts
     counts = columns.counts
     if int(starts.min()) < 0 or int((starts + counts).max()) > layout.prim_count:
@@ -474,4 +469,3 @@ def apply_runs(ctx: TranslationContext, layout: FlatLayout, base: int,
         data = _byteswapped(data, run.unit_size)
     units, _ = _unit_indices(run, starts, counts)
     ctx.memory.scatter(base + run.local_start, run.unit_size, units, data)
-    return True

@@ -7,7 +7,7 @@ from repro.client.apply import ApplyStats, apply_update
 from repro.errors import TypeDescriptorError, WireFormatError
 from repro.memory import AccessorContext, AddressSpace, Heap, SegmentHeap, make_accessor
 from repro.types import DOUBLE, INT, ArrayDescriptor, TypeRegistry
-from repro.wire import BlockDiff, DiffRun, SegmentDiff, TranslationContext
+from repro.wire import BlockDiff, RunColumns, SegmentDiff, TranslationContext
 
 
 def make_env():
@@ -30,7 +30,7 @@ def creation_diff(registry, serial, count, values, version=1):
     type_serial = registry.register(descriptor)
     return SegmentDiff("h/s", 0, version, [
         BlockDiff(serial=serial, is_new=True, type_serial=type_serial,
-                  runs=[DiffRun(0, count, wire_ints(*values))],
+                  columns=RunColumns.from_runs([(0, count, wire_ints(*values))]),
                   version=version)],
         new_types=[(type_serial, registry.encoded(type_serial))])
 
@@ -68,7 +68,7 @@ class TestStructuralApplication:
         bad_type = registry.register(ArrayDescriptor(DOUBLE, 4))
         diff = SegmentDiff("h/s", 1, 2, [
             BlockDiff(serial=1, is_new=True, type_serial=bad_type,
-                      runs=[], version=2)])
+                      version=2)])
         with pytest.raises(TypeDescriptorError):
             apply_update(tctx, heap, registry, diff, first_cache=False)
 
@@ -87,7 +87,8 @@ class TestStructuralApplication:
         diff = SegmentDiff("h/s", 1, 3, [
             BlockDiff(serial=1, freed=True, version=2),
             BlockDiff(serial=1, is_new=True, type_serial=type_serial,
-                      runs=[DiffRun(0, 2, wire_ints(7, 8))], version=3)])
+                      columns=RunColumns.from_runs(
+                          [(0, 2, wire_ints(7, 8))]), version=3)])
         apply_update(tctx, heap, registry, diff, first_cache=False)
         block = heap.block_by_serial(1)
         acc = make_accessor(context, block.descriptor, block.address)
@@ -99,7 +100,8 @@ class TestStructuralApplication:
         apply_update(tctx, heap, registry,
                      creation_diff(source, 1, 4, [0, 0, 0, 0]), first_cache=True)
         diff = SegmentDiff("h/s", 1, 2, [
-            BlockDiff(serial=1, runs=[DiffRun(0, 1, wire_ints(1, 2))])])
+            BlockDiff(serial=1, columns=RunColumns.from_runs(
+                [(0, 1, wire_ints(1, 2))]))])
         with pytest.raises(WireFormatError):
             apply_update(tctx, heap, registry, diff, first_cache=False)
 
@@ -117,7 +119,7 @@ class TestLocalityAndPrediction:
             versions = {serial: 1 for serial in order}
         blocks = [
             BlockDiff(serial=serial, is_new=True, type_serial=type_serial,
-                      runs=[DiffRun(0, 2, wire_ints(serial, serial))],
+                      columns=RunColumns.from_runs([(0, 2, wire_ints(serial, serial))]),
                       version=versions[serial])
             for serial in order
         ]
@@ -150,7 +152,8 @@ class TestLocalityAndPrediction:
         diff = self.build_many(tctx, heap, registry, shuffle=False)
         apply_update(tctx, heap, registry, diff, first_cache=True)
         update = SegmentDiff("h/s", 2, 3, [
-            BlockDiff(serial=serial, runs=[DiffRun(0, 1, wire_ints(0))],
+            BlockDiff(serial=serial, columns=RunColumns.from_runs(
+                [(0, 1, wire_ints(0))]),
                       version=3)
             for serial in range(1, 51)])
         stats = ApplyStats()

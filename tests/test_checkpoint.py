@@ -16,7 +16,7 @@ from repro.server import (
     write_checkpoint,
 )
 from repro.types import INT, ArrayDescriptor, PointerDescriptor, StringDescriptor, TypeRegistry
-from repro.wire import BlockDiff, DiffRun, SegmentDiff
+from repro.wire import BlockDiff, RunColumns, SegmentDiff
 
 from tests.test_server_segment import make_segment_with_array, wire_ints
 
@@ -32,17 +32,19 @@ class TestRoundtrip:
     def test_restored_segment_serves_updates(self):
         state, _ = make_segment_with_array(64)
         state.apply_client_diff(SegmentDiff("host/data", 1, 0, [
-            BlockDiff(serial=1, runs=[DiffRun(0, 1, wire_ints(-9))])]))
+            BlockDiff(serial=1, columns=RunColumns.from_runs(
+                [(0, 1, wire_ints(-9))]))]))
         restored = decode_checkpoint(encode_checkpoint(state))
         update = restored.build_update(0)
         assert update.to_version == 2
-        assert update.block_diffs[0].runs[0].data.startswith(wire_ints(-9))
+        assert bytes(update.block_diffs[0].columns.data).startswith(wire_ints(-9))
 
     def test_restored_segment_accepts_new_diffs(self):
         state, _ = make_segment_with_array(8)
         restored = decode_checkpoint(encode_checkpoint(state))
         restored.apply_client_diff(SegmentDiff("host/data", 1, 0, [
-            BlockDiff(serial=1, runs=[DiffRun(0, 1, wire_ints(123))])]))
+            BlockDiff(serial=1, columns=RunColumns.from_runs(
+                [(0, 1, wire_ints(123))]))]))
         assert restored.version == 2
         assert restored.read_block_wire(1)[:4] == wire_ints(123)
 
@@ -66,7 +68,8 @@ class TestRoundtrip:
         mip = b"host/other#3"
         state.apply_client_diff(SegmentDiff("host/p", 0, 0, [
             BlockDiff(serial=1, is_new=True, type_serial=serial,
-                      runs=[DiffRun(0, 1, struct.pack(">I", len(mip)) + mip)])],
+                      columns=RunColumns.from_runs(
+                          [(0, 1, struct.pack(">I", len(mip)) + mip)]))],
             new_types=[(serial, registry.encoded(serial))]))
         restored = decode_checkpoint(encode_checkpoint(state))
         assert restored.read_block_wire(1) == struct.pack(">I", len(mip)) + mip
@@ -74,7 +77,8 @@ class TestRoundtrip:
     def test_version_times_survive(self):
         state, _ = make_segment_with_array(8)
         state.apply_client_diff(SegmentDiff("host/data", 1, 0, [
-            BlockDiff(serial=1, runs=[DiffRun(0, 1, wire_ints(1))])]), now=42.0)
+            BlockDiff(serial=1, columns=RunColumns.from_runs(
+                [(0, 1, wire_ints(1))]))]), now=42.0)
         restored = decode_checkpoint(encode_checkpoint(state))
         assert restored.version_times[2] == 42.0
 
@@ -90,7 +94,7 @@ class TestFiles:
         state, _ = make_segment_with_array(16)
         path1 = write_checkpoint(state, str(tmp_path))
         state.apply_client_diff(SegmentDiff("host/data", 1, 0, [
-            BlockDiff(serial=1, runs=[DiffRun(0, 1, wire_ints(7))])]))
+            BlockDiff(serial=1, columns=RunColumns.from_runs([(0, 1, wire_ints(7))]))]))
         path2 = write_checkpoint(state, str(tmp_path))
         assert path1 == path2
         assert read_checkpoint(path2).version == 2

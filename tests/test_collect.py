@@ -5,20 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch import X86_32
+from repro.arch import SPARC_V9, X86_32
 from repro.client.collect import (
     SPLICE_MAX_GAP_WORDS,
-    changed_byte_runs,
-    collect_write_diff,
-    map_runs_to_blocks,
+    changed_byte_arrays,
+    map_ranges_to_blocks,
     word_diff_arrays,
-    word_diff_pages,
 )
+from repro.errors import WireFormatError
 from repro.memory import AccessorContext, AddressSpace, Heap, SegmentHeap, make_accessor
-from repro.types import INT, ArrayDescriptor, flat_layout
+from repro.types import (DOUBLE, INT, SHORT, ArrayDescriptor, Field,
+                         PointerDescriptor, RecordDescriptor, StringDescriptor,
+                         flat_layout)
 from repro.types.layout import merge_run_arrays
-from repro.wire import TranslationContext
+from repro.wire import (BlockDiff, RunColumns, SegmentDiff, TranslationContext,
+                        decode_segment_diff, encode_segment_diff)
 from repro.wire.translate import apply_runs, collect_range, collect_runs
+
+from tests._support import fill_random
 
 
 def make_env(arch=X86_32):
@@ -61,42 +65,46 @@ class TestWordDiff:
     def test_single_word_change(self):
         memory, seg, acc, block, sub = self.setup_env()
         acc[100] = 7
-        runs = word_diff_pages(memory, sub, 4)
+        starts, ends = word_diff_arrays(memory, sub, 4)
         offset_words = (block.address - sub.base) // 4
-        assert runs == [(offset_words + 100, 1)]
+        assert (starts.tolist(), ends.tolist()) == (
+            [offset_words + 100], [offset_words + 101])
 
     def test_contiguous_changes_merge(self):
         memory, seg, acc, block, sub = self.setup_env()
         acc.write_values([1, 2, 3], start=10)
-        runs = word_diff_pages(memory, sub, 4)
-        assert len(runs) == 1 and runs[0][1] == 3
+        starts, ends = word_diff_arrays(memory, sub, 4)
+        assert (ends - starts).tolist() == [3]
 
     def test_untouched_pages_not_compared(self):
         memory, seg, acc, block, sub = self.setup_env()
         acc[0] = 1  # touches only the first page
         assert len(sub.pagemap) == 1
-        runs = word_diff_pages(memory, sub, 4)
-        assert len(runs) == 1
+        starts, _ = word_diff_arrays(memory, sub, 4)
+        assert starts.size == 1
 
     def test_write_of_same_value_yields_no_run(self):
         memory, seg, acc, block, sub = self.setup_env()
         acc[5] = 0  # store happens (fault + twin) but content is unchanged
         assert len(sub.pagemap) == 1
-        assert word_diff_pages(memory, sub, 4) == []
+        starts, _ = word_diff_arrays(memory, sub, 4)
+        assert starts.size == 0
 
     def test_splice_gap_within_limit(self):
         memory, seg, acc, block, sub = self.setup_env()
         acc[10] = 1
         acc[13] = 1  # gap of 2 words: spliced
-        runs = word_diff_pages(memory, sub, 4, max_gap=SPLICE_MAX_GAP_WORDS)
-        assert len(runs) == 1 and runs[0][1] == 4
+        starts, ends = word_diff_arrays(memory, sub, 4,
+                                        max_gap=SPLICE_MAX_GAP_WORDS)
+        assert (ends - starts).tolist() == [4]
 
     def test_splice_gap_beyond_limit(self):
         memory, seg, acc, block, sub = self.setup_env()
         acc[10] = 1
         acc[14] = 1  # gap of 3 words: separate runs
-        runs = word_diff_pages(memory, sub, 4, max_gap=SPLICE_MAX_GAP_WORDS)
-        assert len(runs) == 2
+        starts, _ = word_diff_arrays(memory, sub, 4,
+                                     max_gap=SPLICE_MAX_GAP_WORDS)
+        assert starts.size == 2
 
     def test_cross_page_run_merges(self):
         memory, seg, acc, block, sub = self.setup_env(words=4096)
@@ -104,9 +112,8 @@ class TestWordDiff:
         offset_words = (block.address - sub.base) // 4
         boundary = page_words - offset_words  # first array index on page 2
         acc.write_values([9, 9], start=boundary - 1)
-        runs = changed_byte_runs(memory, sub, 4)
-        assert len(runs) == 1
-        assert runs[0][1] == 8
+        starts, ends = changed_byte_arrays(memory, sub, 4)
+        assert (ends - starts).tolist() == [8]
 
 
 def _per_page_word_diff(memory, subsegment, word_size, max_gap):
@@ -214,16 +221,17 @@ class TestBatchedTranslation:
         acc.write_values(list(range(1000)))
         tctx = TranslationContext(memory, X86_32)
         layout = flat_layout(block.descriptor, X86_32)
-        starts = [0, 10, 500, 998]
-        counts = [5, 1, 100, 2]
-        batched = collect_runs(tctx, layout, block.address, starts, counts)
-        individual = [collect_range(tctx, layout, block.address, s, c)
-                      for s, c in zip(starts, counts)]
-        assert batched == individual
+        for starts, counts in [
+                ([0, 10, 500, 998], [5, 1, 100, 2]),                # per run
+                ([0, 10, 40, 500, 900, 998], [5, 1, 3, 100, 7, 2])]:  # batched
+            columns = collect_runs(tctx, layout, block.address, starts, counts)
+            individual = [collect_range(tctx, layout, block.address, s, c)
+                          for s, c in zip(starts, counts)]
+            assert [bytes(data) for _, _, data in columns] == individual
+            assert columns.starts.tolist() == starts
+            assert columns.counts.tolist() == counts
 
     def test_apply_runs_roundtrip(self):
-        from repro.wire.diff import DiffRun
-
         memory, seg, actx = make_env()
         src = seg.allocate(ArrayDescriptor(INT, 1000), 1)
         dst = seg.allocate(ArrayDescriptor(INT, 1000), 1)
@@ -235,9 +243,8 @@ class TestBatchedTranslation:
         layout = flat_layout(src.descriptor, X86_32)
         starts = [3, 100, 200, 300, 700]
         counts = [4, 2, 2, 2, 50]
-        buffers = collect_runs(tctx, layout, src.address, starts, counts)
-        runs = [DiffRun(s, c, b) for s, c, b in zip(starts, counts, buffers)]
-        assert apply_runs(tctx, layout, dst.address, runs)
+        columns = collect_runs(tctx, layout, src.address, starts, counts)
+        apply_runs(tctx, layout, dst.address, columns)
         values = acc_dst.read_values()
         assert list(values[3:7]) == [3, 4, 5, 6]
         assert list(values[100:102]) == [100, 101]
@@ -245,30 +252,87 @@ class TestBatchedTranslation:
         assert values[0] == 0 and values[7] == 0
 
     def test_apply_runs_rejects_bad_payload(self):
-        from repro.errors import WireFormatError
-        from repro.wire.diff import DiffRun
-
         memory, seg, actx = make_env()
         block = seg.allocate(ArrayDescriptor(INT, 10), 1)
         tctx = TranslationContext(memory, X86_32)
         layout = flat_layout(block.descriptor, X86_32)
-        filler = [DiffRun(k, 1, b"\x00" * 4) for k in range(2, 7)]
-        with pytest.raises(WireFormatError):
-            apply_runs(tctx, layout, block.address,
-                       [DiffRun(0, 2, b"\x00" * 7)] + filler)  # 7 != 8
-        with pytest.raises(WireFormatError):
-            apply_runs(tctx, layout, block.address,
-                       [DiffRun(8, 5, b"\x00" * 20)] + filler)  # beyond end
+        for filler_runs in (0, 5):  # per run, batched
+            filler = [(k, 1, b"\x00" * 4) for k in range(2, 2 + filler_runs)]
+            for bad in [(0, 2, b"\x00" * 7),     # 7 != 8 bytes
+                        (0, 2, b"\x00" * 9),     # a trailing byte
+                        (8, 5, b"\x00" * 20)]:   # beyond the block's end
+                with pytest.raises(WireFormatError):
+                    apply_runs(tctx, layout, block.address,
+                               RunColumns.from_runs([bad] + filler))
 
-    def test_apply_runs_declines_complex_layouts(self):
-        from repro.types import DOUBLE, Field, RecordDescriptor
 
-        memory, seg, actx = make_env()
-        rec = RecordDescriptor("r", [Field("i", INT), Field("d", DOUBLE)])
-        block = seg.allocate(ArrayDescriptor(rec, 4), 1)
-        tctx = TranslationContext(memory, X86_32)
-        layout = flat_layout(block.descriptor, X86_32)
-        assert apply_runs(tctx, layout, block.address, []) is False
+#: one layout per translation strategy: dense, strided, per-unit
+_ROUNDTRIP_LAYOUTS = {
+    "dense-doubles": ArrayDescriptor(DOUBLE, 256),
+    "strided-records": ArrayDescriptor(RecordDescriptor("pt", [
+        Field("i", INT), Field("d", DOUBLE), Field("s", SHORT)]), 64),
+    "strings-and-pointers": ArrayDescriptor(RecordDescriptor("node", [
+        Field("key", INT), Field("name", StringDescriptor(12)),
+        Field("next", PointerDescriptor(INT, "int"))]), 64),
+}
+
+#: run sets on both sides of the batched/per-run split (<= 4 and > 4)
+_ROUNDTRIP_RUNS = {
+    "3-runs": [(0, 2), (17, 5), (100, 3)],
+    "8-runs": [(1, 1), (9, 4), (30, 2), (50, 7), (77, 1), (120, 3),
+               (150, 10), (180, 5)],
+}
+
+
+def _roundtrip_block(arch, descriptor, seed):
+    """A randomly filled block whose pointers (if any) point into itself,
+    with a translation context that swizzles them block-relative."""
+    memory, seg, actx = make_env(arch)
+    block = seg.allocate(descriptor, 1)
+    acc = make_accessor(actx, descriptor, block.address)
+    rng = np.random.default_rng(seed)
+    fill_random(acc, descriptor, rng)
+    if descriptor is _ROUNDTRIP_LAYOUTS["strings-and-pointers"]:
+        for k in range(0, descriptor.count, 3):
+            target = int(rng.integers(0, descriptor.count))
+            acc.element_accessor(k).field_accessor("next").set(
+                acc.element_accessor(target).field_accessor("key").address)
+    tctx = TranslationContext(
+        memory, arch,
+        pointer_to_mip=lambda address: f"blk#{address - block.address}",
+        mip_to_pointer=lambda mip: block.address + int(mip.split("#")[1]))
+    return tctx, flat_layout(descriptor, arch), block
+
+
+@pytest.mark.parametrize("arch", [X86_32, SPARC_V9], ids=["le", "be"])
+@pytest.mark.parametrize("runs", list(_ROUNDTRIP_RUNS.values()),
+                         ids=list(_ROUNDTRIP_RUNS))
+@pytest.mark.parametrize("descriptor", list(_ROUNDTRIP_LAYOUTS.values()),
+                         ids=list(_ROUNDTRIP_LAYOUTS))
+def test_collect_apply_roundtrip(descriptor, runs, arch):
+    """collect_runs -> encode -> decode -> apply_runs into a second
+    address space (of the other byte order) writes exactly the named
+    units: each matches the source, every other unit keeps its value."""
+    other = SPARC_V9 if arch is X86_32 else X86_32
+    src_ctx, src_layout, src = _roundtrip_block(arch, descriptor, seed=1)
+    dst_ctx, dst_layout, dst = _roundtrip_block(other, descriptor, seed=2)
+
+    def unit_images(ctx, layout, block):
+        return [collect_range(ctx, layout, block.address, unit, 1)
+                for unit in range(layout.prim_count)]
+
+    expected = unit_images(dst_ctx, dst_layout, dst)
+    source = unit_images(src_ctx, src_layout, src)
+    for start, count in runs:
+        expected[start:start + count] = source[start:start + count]
+    starts, counts = (list(column) for column in zip(*runs))
+    columns = collect_runs(src_ctx, src_layout, src.address, starts, counts)
+    wire = encode_segment_diff(
+        SegmentDiff("h/s", 1, 2, [BlockDiff(serial=1, columns=columns)]))
+    (block_diff,) = decode_segment_diff(wire).block_diffs
+    assert block_diff.columns == columns
+    apply_runs(dst_ctx, dst_layout, dst.address, block_diff.columns)
+    assert unit_images(dst_ctx, dst_layout, dst) == expected
 
 
 class TestByteRangesVectorized:
@@ -291,6 +355,15 @@ class TestByteRangesVectorized:
         assert list(zip(starts.tolist(), counts.tolist())) == expected
 
 
+def _map_to_blocks(subsegment, byte_ranges, skip_serials):
+    starts = np.array([lo for lo, _ in byte_ranges], np.int64)
+    ends = np.array([hi for _, hi in byte_ranges], np.int64)
+    mapped = map_ranges_to_blocks(subsegment, starts, ends, skip_serials,
+                                  X86_32)
+    return {serial: list(zip(prim_starts.tolist(), prim_counts.tolist()))
+            for serial, (prim_starts, prim_counts) in mapped.items()}
+
+
 class TestMapRunsToBlocks:
     def test_runs_spanning_blocks_split_correctly(self):
         memory, seg, actx = make_env()
@@ -298,26 +371,27 @@ class TestMapRunsToBlocks:
         block_b = seg.allocate(ArrayDescriptor(INT, 16), 1)
         sub = block_a.subsegment
         assert block_b.subsegment is sub
-        # one byte run covering the tail of A, the header gap, and the
+        # one byte range covering the tail of A, the header gap, and the
         # head of B
-        run = (block_a.address + 56, (block_b.address + 8) - (block_a.address + 56))
-        mapped = map_runs_to_blocks(sub, [run], set(), X86_32)
+        mapped = _map_to_blocks(
+            sub, [(block_a.address + 56, block_b.address + 8)], set())
         assert mapped[block_a.serial] == [(14, 2)]
         assert mapped[block_b.serial] == [(0, 2)]
 
     def test_skip_serials_excluded(self):
         memory, seg, actx = make_env()
         block = seg.allocate(ArrayDescriptor(INT, 16), 1)
-        run = (block.address, 64)
-        mapped = map_runs_to_blocks(block.subsegment, [run],
-                                    {block.serial}, X86_32)
+        mapped = _map_to_blocks(block.subsegment,
+                                [(block.address, block.address + 64)],
+                                {block.serial})
         assert mapped == {}
 
     def test_header_only_run_maps_nowhere(self):
         memory, seg, actx = make_env()
         block = seg.allocate(ArrayDescriptor(INT, 16), 1)
-        run = (block.address - 8, 8)  # entirely inside the header
-        mapped = map_runs_to_blocks(block.subsegment, [run], set(), X86_32)
+        # entirely inside the header
+        mapped = _map_to_blocks(block.subsegment,
+                                [(block.address - 8, block.address)], set())
         assert mapped == {}
 
 
@@ -358,16 +432,15 @@ class TestBlockLevelFullSend:
         client, seg, acc = self.make_world_pair(threshold=0.75)
         diff = self.modify_most(client, seg, acc)
         (block_diff,) = diff.block_diffs
-        assert len(block_diff.runs) == 1
-        assert (block_diff.runs[0].prim_start,
-                block_diff.runs[0].prim_count) == (0, 1024)
+        columns = block_diff.columns
+        assert (columns.starts.tolist(), columns.counts.tolist()) == ([0], [1024])
         client.wl_release(seg)
 
     def test_disabled_threshold_keeps_runs(self):
         client, seg, acc = self.make_world_pair(threshold=None)
         diff = self.modify_most(client, seg, acc)
         (block_diff,) = diff.block_diffs
-        assert len(block_diff.runs) > 1
+        assert block_diff.columns.run_count > 1
         assert block_diff.covered_units() < 1024
         client.wl_release(seg)
 

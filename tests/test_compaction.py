@@ -7,14 +7,14 @@ from repro.arch import X86_32
 from repro.types import INT, ArrayDescriptor
 
 from tests.test_server_segment import make_segment_with_array, wire_ints
-from repro.wire import BlockDiff, DiffRun, SegmentDiff
+from repro.wire import BlockDiff, RunColumns, SegmentDiff
 
 
 def advance_versions(state, rounds, start_salt=0):
     for round_number in range(rounds):
         state.apply_client_diff(SegmentDiff(state.name, state.version, 0, [
-            BlockDiff(serial=1, runs=[
-                DiffRun(0, 1, wire_ints(start_salt + round_number))])]))
+            BlockDiff(serial=1, columns=RunColumns.from_runs([
+                (0, 1, wire_ints(start_salt + round_number))]))]))
 
 
 class TestCompact:
@@ -24,7 +24,7 @@ class TestCompact:
         type_serial = state.blocks[1].info.type_serial
         state.apply_client_diff(SegmentDiff(state.name, 1, 0, [
             BlockDiff(serial=2, is_new=True, type_serial=type_serial,
-                      runs=[DiffRun(0, 64, wire_ints(*range(64)))])]))
+                      columns=RunColumns.from_runs([(0, 64, wire_ints(*range(64)))]))]))
         state.apply_client_diff(SegmentDiff(state.name, 2, 0, [
             BlockDiff(serial=2, freed=True)]))
         advance_versions(state, 20)

@@ -7,21 +7,21 @@ import pytest
 
 from repro.errors import ServerError
 from repro.server.compose import _covered, compose_diffs
-from repro.wire import (BlockDiff, DiffRun, SegmentDiff, decode_segment_diff,
-                        encode_segment_diff)
+from repro.wire import (BlockDiff, RunColumns, SegmentDiff,
+                        decode_segment_diff, encode_segment_diff)
 
 
 def _covers(newer, older):
-    return (newer.prim_start <= older.prim_start
-            and newer.prim_start + newer.prim_count
-            >= older.prim_start + older.prim_count)
+    """Does run ``newer`` cover run ``older``? Runs are ``(prim_start,
+    prim_count, data)`` triples."""
+    return newer[0] <= older[0] and newer[0] + newer[1] >= older[0] + older[1]
 
 
 def _surviving_runs(accumulated, incoming):
-    """The columnar covered mask applied to DiffRun lists."""
+    """The columnar covered mask applied to lists of run triples."""
     def extents(runs):
-        starts = np.array([r.prim_start for r in runs], np.int64)
-        return starts, starts + np.array([r.prim_count for r in runs], np.int64)
+        starts = np.array([run[0] for run in runs], np.int64)
+        return starts, starts + np.array([run[1] for run in runs], np.int64)
 
     covered = _covered(*extents(accumulated), *extents(incoming))
     return [run for run, dead in zip(accumulated, covered.tolist()) if not dead]
@@ -53,44 +53,56 @@ class TestChainValidation:
 class TestRunMerging:
     def test_distinct_blocks_pass_through(self):
         result = compose_diffs([
-            diff(1, 2, [BlockDiff(serial=1, runs=[DiffRun(0, 1, b"a")])]),
-            diff(2, 3, [BlockDiff(serial=2, runs=[DiffRun(0, 1, b"b")])]),
+            diff(1, 2, [BlockDiff(serial=1, columns=RunColumns.from_runs(
+                [(0, 1, b"a")]))]),
+            diff(2, 3, [BlockDiff(serial=2, columns=RunColumns.from_runs(
+                [(0, 1, b"b")]))]),
         ])
         assert [bd.serial for bd in result.block_diffs] == [1, 2]
 
     def test_covered_older_run_dropped(self):
         """The repeated-counter case: the newer write shadows the older."""
         result = compose_diffs([
-            diff(1, 2, [BlockDiff(serial=1, runs=[DiffRun(4, 1, b"old!")])]),
-            diff(2, 3, [BlockDiff(serial=1, runs=[DiffRun(4, 1, b"new!")])]),
+            diff(1, 2, [BlockDiff(serial=1, columns=RunColumns.from_runs(
+                [(4, 1, b"old!")]))]),
+            diff(2, 3, [BlockDiff(serial=1, columns=RunColumns.from_runs(
+                [(4, 1, b"new!")]))]),
         ])
         (block,) = result.block_diffs
-        assert [(r.prim_start, r.data) for r in block.runs] == [(4, b"new!")]
+        assert [(start, bytes(data)) for start, _, data in block.columns] == [
+            (4, b"new!")]
 
     def test_wider_newer_run_covers(self):
         result = compose_diffs([
-            diff(1, 2, [BlockDiff(serial=1, runs=[DiffRun(5, 2, b"xx")])]),
-            diff(2, 3, [BlockDiff(serial=1, runs=[DiffRun(4, 4, b"yyyy")])]),
+            diff(1, 2, [BlockDiff(serial=1, columns=RunColumns.from_runs(
+                [(5, 2, b"xx")]))]),
+            diff(2, 3, [BlockDiff(serial=1, columns=RunColumns.from_runs(
+                [(4, 4, b"yyyy")]))]),
         ])
         (block,) = result.block_diffs
-        assert len(block.runs) == 1
+        assert block.columns.run_count == 1
 
     def test_partial_overlap_keeps_both_in_order(self):
         result = compose_diffs([
-            diff(1, 2, [BlockDiff(serial=1, runs=[DiffRun(0, 4, b"old4")])]),
-            diff(2, 3, [BlockDiff(serial=1, runs=[DiffRun(2, 4, b"new4")])]),
+            diff(1, 2, [BlockDiff(serial=1, columns=RunColumns.from_runs(
+                [(0, 4, b"old4")]))]),
+            diff(2, 3, [BlockDiff(serial=1, columns=RunColumns.from_runs(
+                [(2, 4, b"new4")]))]),
         ])
         (block,) = result.block_diffs
         # older first so the newer overwrite wins where they overlap
-        assert [r.data for r in block.runs] == [b"old4", b"new4"]
+        assert [bytes(data) for _, _, data in block.columns] == [
+            b"old4", b"new4"]
 
     def test_disjoint_runs_accumulate(self):
         result = compose_diffs([
-            diff(1, 2, [BlockDiff(serial=1, runs=[DiffRun(0, 1, b"a")])]),
-            diff(2, 3, [BlockDiff(serial=1, runs=[DiffRun(9, 1, b"b")])]),
+            diff(1, 2, [BlockDiff(serial=1, columns=RunColumns.from_runs(
+                [(0, 1, b"a")]))]),
+            diff(2, 3, [BlockDiff(serial=1, columns=RunColumns.from_runs(
+                [(9, 1, b"b")]))]),
         ])
         (block,) = result.block_diffs
-        assert len(block.runs) == 2
+        assert block.columns.run_count == 2
 
 
 class TestSurvivingRunsSweep:
@@ -104,7 +116,7 @@ class TestSurvivingRunsSweep:
 
     @staticmethod
     def random_runs(rng, count, span=5000, max_width=40):
-        return [DiffRun(rng.randrange(span), rng.randrange(1, max_width), b"")
+        return [(rng.randrange(span), rng.randrange(1, max_width), b"")
                 for _ in range(count)]
 
     def test_many_runs_matches_naive(self):
@@ -121,9 +133,8 @@ class TestSurvivingRunsSweep:
         old runs exactly coinciding with incoming ones."""
         rng = random.Random(7)
         accumulated = self.random_runs(rng, 100, span=50, max_width=8)
-        incoming = [DiffRun(run.prim_start, run.prim_count, b"")
-                    for run in accumulated[::2]]
-        incoming += [DiffRun(10, width, b"") for width in (1, 9, 3)]
+        incoming = [(start, count, b"") for start, count, _ in accumulated[::2]]
+        incoming += [(10, width, b"") for width in (1, 9, 3)]
         assert (_surviving_runs(accumulated, incoming)
                 == self.naive(accumulated, incoming))
 
@@ -135,14 +146,14 @@ class TestSurvivingRunsSweep:
                 == self.naive(accumulated, incoming))
 
     def test_empty_sides(self):
-        runs = [DiffRun(0, 4, b"abcd")]
+        runs = [(0, 4, b"abcd")]
         assert _surviving_runs([], runs) == []
         assert _surviving_runs(runs, []) == runs
 
 
 def _reference_compose(parts):
-    """Per-run ``DiffRun``-object composition: the rules of the module
-    docstring, written out run by run."""
+    """Per-run composition over lists of run triples: the rules of the
+    module docstring, written out run by run."""
     merged, types = {}, {}
     for part in parts:
         for serial, encoded in part.new_types:
@@ -156,15 +167,17 @@ def _reference_compose(parts):
                 raise ServerError("re-created within range")
             elif older is None or incoming.is_new:
                 result = BlockDiff(
-                    serial=incoming.serial, runs=list(incoming.runs),
+                    serial=incoming.serial, columns=incoming.columns,
                     is_new=incoming.is_new, type_serial=incoming.type_serial,
                     name=incoming.name, version=incoming.version)
             else:
+                newer = list(incoming.columns)
                 result = BlockDiff(
                     serial=older.serial,
-                    runs=[run for run in older.runs
-                          if not any(_covers(new, run) for new in incoming.runs)]
-                    + list(incoming.runs),
+                    columns=RunColumns.from_runs(
+                        [run for run in older.columns
+                         if not any(_covers(new, run) for new in newer)]
+                        + newer),
                     is_new=older.is_new, type_serial=older.type_serial,
                     name=older.name, version=max(older.version, incoming.version))
             merged[incoming.serial] = result
@@ -184,12 +197,13 @@ class TestColumnarCompose:
         for _ in range(rng.randrange(0, 40)):
             count = rng.choice((1, 1, 2, 3, 8, 16, span))
             start = rng.randrange(0, span)
-            runs.append(DiffRun(start, count, bytes(
+            runs.append((start, count, bytes(
                 rng.randrange(256) for _ in range(4 * count))))
         if rng.random() < 0.3:
             # a run covering everything older: the full-cover case
-            runs.append(DiffRun(0, 2 * span, bytes(8 * span)))
-        return BlockDiff(serial=serial, runs=runs, version=version)
+            runs.append((0, 2 * span, bytes(8 * span)))
+        return BlockDiff(serial=serial, columns=RunColumns.from_runs(runs),
+                         version=version)
 
     def random_chain(self, rng, length):
         parts = []
@@ -199,7 +213,8 @@ class TestColumnarCompose:
             if step == 0:
                 blocks.append(BlockDiff(
                     serial=9, is_new=True, type_serial=3, name="fresh",
-                    runs=[DiffRun(0, 64, bytes(range(256)))], version=2))
+                    columns=RunColumns.from_runs(
+                        [(0, 64, bytes(range(256)))]), version=2))
             elif rng.random() < 0.5:
                 blocks.append(self.random_block(rng, 9, step + 2))
             parts.append(SegmentDiff("s", step + 1, step + 2, blocks,
@@ -214,15 +229,16 @@ class TestColumnarCompose:
                        for part in parts]
             assert (encode_segment_diff(compose_diffs(decoded))
                     == encode_segment_diff(_reference_compose(parts)))
-            # object-built input (no columns) composes identically too
+            # undecoded input (payloads in owned bytes) composes
+            # identically too
             assert (encode_segment_diff(compose_diffs(parts))
                     == encode_segment_diff(_reference_compose(parts)))
 
     def test_full_cover_drops_every_older_run(self):
-        parts = [diff(1, 2, [BlockDiff(serial=1, runs=[
-                     DiffRun(k, 1, bytes([k])) for k in range(0, 20, 2)])]),
-                 diff(2, 3, [BlockDiff(serial=1, runs=[
-                     DiffRun(0, 30, bytes(30))])])]
+        parts = [diff(1, 2, [BlockDiff(serial=1, columns=RunColumns.from_runs([
+                     (k, 1, bytes([k])) for k in range(0, 20, 2)]))]),
+                 diff(2, 3, [BlockDiff(serial=1, columns=RunColumns.from_runs([
+                     (0, 30, bytes(30))]))])]
         decoded = [decode_segment_diff(encode_segment_diff(p)) for p in parts]
         (block,) = compose_diffs(decoded).block_diffs
         assert block.columns.starts.tolist() == [0]
@@ -233,25 +249,27 @@ class TestLifecycle:
     def test_creation_then_update_merges_into_creation(self):
         result = compose_diffs([
             diff(1, 2, [BlockDiff(serial=3, is_new=True, type_serial=7,
-                                  runs=[DiffRun(0, 8, b"x" * 8)])]),
-            diff(2, 3, [BlockDiff(serial=3, runs=[DiffRun(2, 1, b"y")])]),
+                                  columns=RunColumns.from_runs([(0, 8, b"x" * 8)]))]),
+            diff(2, 3, [BlockDiff(serial=3, columns=RunColumns.from_runs(
+                [(2, 1, b"y")]))]),
         ])
         (block,) = result.block_diffs
         assert block.is_new and block.type_serial == 7
-        assert len(block.runs) == 2
+        assert block.columns.run_count == 2
 
     def test_free_cancels_history(self):
         result = compose_diffs([
-            diff(1, 2, [BlockDiff(serial=3, runs=[DiffRun(0, 1, b"a")])]),
+            diff(1, 2, [BlockDiff(serial=3, columns=RunColumns.from_runs(
+                [(0, 1, b"a")]))]),
             diff(2, 3, [BlockDiff(serial=3, freed=True)]),
         ])
         (block,) = result.block_diffs
-        assert block.freed and not block.runs
+        assert block.freed and block.columns.run_count == 0
 
     def test_create_then_free_becomes_tombstone(self):
         result = compose_diffs([
             diff(1, 2, [BlockDiff(serial=3, is_new=True, type_serial=1,
-                                  runs=[DiffRun(0, 1, b"a")])]),
+                                  columns=RunColumns.from_runs([(0, 1, b"a")]))]),
             diff(2, 3, [BlockDiff(serial=3, freed=True)]),
         ])
         (block,) = result.block_diffs
@@ -262,7 +280,7 @@ class TestLifecycle:
             compose_diffs([
                 diff(1, 2, [BlockDiff(serial=3, freed=True)]),
                 diff(2, 3, [BlockDiff(serial=3, is_new=True, type_serial=1,
-                                      runs=[DiffRun(0, 1, b"a")])]),
+                                      columns=RunColumns.from_runs([(0, 1, b"a")]))]),
             ])
 
     def test_types_deduplicated(self):
@@ -353,7 +371,8 @@ class TestServerIntegration:
         rpc("w", OpenSegmentRequest("h/s", create=True, client_id="w"))
         write(0, [BlockDiff(serial=1, is_new=True, type_serial=type_serial,
                             name="a",
-                            runs=[DiffRun(0, 1, struct.pack(">i", 7))])],
+                            columns=RunColumns.from_runs(
+                                [(0, 1, struct.pack(">i", 7))]))],
               types=[(type_serial, encoded_int)])
 
         # a reader caches version 1
@@ -366,7 +385,8 @@ class TestServerIntegration:
         write(1, [BlockDiff(serial=1, freed=True)])
         write(2, [BlockDiff(serial=1, is_new=True, type_serial=type_serial,
                             name="a",
-                            runs=[DiffRun(0, 1, struct.pack(">i", 9))])])
+                            columns=RunColumns.from_runs(
+                                [(0, 1, struct.pack(">i", 9))]))])
 
         built_before = server.stats.updates_built
         cached_before = server.stats.updates_served_from_cache
@@ -382,4 +402,4 @@ class TestServerIntegration:
         assert (True, False) in by_shape  # the tombstone reaches the reader
         recreated = by_shape[(False, True)]
         assert recreated.serial == 1
-        assert recreated.runs[0].data == struct.pack(">i", 9)
+        assert recreated.columns.data == struct.pack(">i", 9)

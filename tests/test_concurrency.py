@@ -15,7 +15,7 @@ from repro.arch import ALPHA, SPARC_V9, X86_32
 from repro.errors import ServerError
 from repro.transport import TCPChannel, TCPServerTransport
 from repro.types import INT, ArrayDescriptor
-from repro.wire import BlockDiff, DiffRun, SegmentDiff
+from repro.wire import BlockDiff, RunColumns, SegmentDiff
 from repro.wire.messages import (
     LOCK_WRITE,
     ErrorReply,
@@ -449,7 +449,8 @@ class TestDispatchErrorPaths:
         writer.wl_release(seg)
 
         bad = SegmentDiff("s/x", seg.version, 0, [
-            BlockDiff(serial=99, runs=[DiffRun(0, 1, b"\x00\x00\x00\x01")])])
+            BlockDiff(serial=99, columns=RunColumns.from_runs(
+                [(0, 1, b"\x00\x00\x00\x01")]))])
         writer._rpc(seg.channel, LockAcquireRequest(
             "s/x", LOCK_WRITE, writer.client_id, seg.version))
         with pytest.raises(ServerError):

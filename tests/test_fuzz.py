@@ -13,7 +13,7 @@ from repro.errors import InterWeaveError
 from repro.server import InterWeaveServer
 from repro.types import INT, ArrayDescriptor, decode_descriptor, encode_descriptor
 from repro.wire import decode_segment_diff, encode_segment_diff
-from repro.wire.diff import BlockDiff, DiffRun, SegmentDiff
+from repro.wire.diff import BlockDiff, RunColumns, SegmentDiff
 from repro.wire.messages import (
     LockAcquireRequest,
     OpenSegmentRequest,
@@ -85,7 +85,8 @@ def test_bitflipped_diff_rejected_or_consistent(data):
     """A flipped byte either fails to decode or decodes to a structurally
     valid diff (never a crash or a malformed object)."""
     diff = SegmentDiff("s", 1, 2, [
-        BlockDiff(serial=1, runs=[DiffRun(0, 4, b"\x01\x02\x03\x04" * 4)]),
+        BlockDiff(serial=1, columns=RunColumns.from_runs(
+            [(0, 4, b"\x01\x02\x03\x04" * 4)])),
     ], new_types=[(1, encode_descriptor(ArrayDescriptor(INT, 4)))])
     encoded = bytearray(encode_segment_diff(diff))
     position = data.draw(st.integers(0, len(encoded) - 1))
@@ -96,10 +97,11 @@ def test_bitflipped_diff_rejected_or_consistent(data):
     except InterWeaveError:
         return
     for block_diff in decoded.block_diffs:
-        for run in block_diff.runs:
-            # run payloads are bytes or zero-copy views over the buffer
-            assert isinstance(run.data, (bytes, memoryview))
-            assert run.prim_count >= 0
+        columns = block_diff.columns
+        # run payloads are bytes or zero-copy views over the buffer
+        assert isinstance(columns.data, (bytes, memoryview))
+        assert (columns.counts >= 0).all()
+        assert columns.data_bytes == len(columns.data)
 
 
 class TestHostileProtocolSequences:
@@ -138,7 +140,7 @@ class TestHostileProtocolSequences:
         self.send(server, "a", OpenSegmentRequest("host/s", True, "a"))
         self.send(server, "a", LockAcquireRequest("host/s", 1, "a", 0, 0, 0, 0))
         bad = SegmentDiff("host/s", 99, 0, [
-            BlockDiff(serial=1, runs=[DiffRun(0, 1, b"\x00" * 4)])])
+            BlockDiff(serial=1, columns=RunColumns.from_runs([(0, 1, b"\x00" * 4)]))])
         reply = self.send(server, "a", LockReleaseRequest("host/s", 1, "a", bad))
         assert isinstance(reply, ErrorReply)
         assert server.segments["host/s"].state.version == 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import WireFormatError
-from repro.wire.diff import BlockDiff, DiffRun, SegmentDiff
+from repro.wire.diff import BlockDiff, RunColumns, SegmentDiff
 from repro.wire.messages import (
     COHERENCE_DELTA,
     DIR_MIGRATE,
@@ -45,7 +45,8 @@ SAMPLES = [
     LockAcquireReply(granted=True, version=6, diff=None),
     LockAcquireReply(granted=True, version=6, diff=SegmentDiff(
         "host/seg", 5, 6,
-        [BlockDiff(serial=1, runs=[DiffRun(0, 1, b"\x2a")], version=6)])),
+        [BlockDiff(serial=1, columns=RunColumns.from_runs(
+            [(0, 1, b"\x2a")]), version=6)])),
     LockAcquireReply(granted=False),
     LockReleaseRequest("host/seg", LOCK_READ, "c1"),
     LockReleaseRequest("host/seg", LOCK_WRITE, "c1",

@@ -37,7 +37,7 @@ from repro.transport import (
     TCPServerTransport,
 )
 from repro.types import INT, ArrayDescriptor
-from repro.wire import BlockDiff, DiffRun, SegmentDiff, encode_segment_diff
+from repro.wire import BlockDiff, RunColumns, SegmentDiff, encode_segment_diff
 from repro.wire.messages import (
     COHERENCE_DELTA,
     COHERENCE_DIFF,
@@ -393,7 +393,7 @@ class TestFreshness:
         world.proxy.diff_cache.put("h/s", 2, 3, encode_segment_diff(
             SegmentDiff("h/s", 2, 3, [BlockDiff(
                 serial=3, is_new=True, type_serial=1,
-                runs=[DiffRun(0, 1, b"\0\0\0\1")])])))
+                columns=RunColumns.from_runs([(0, 1, b"\0\0\0\1")]))])))
         assert world.proxy._cached_update(entry, 1, 3) is None
 
     def test_error_replies_pass_through(self):

@@ -686,3 +686,57 @@ def test_truncated_reply_is_a_typed_client_error():
         clock=harness.clock)
     with pytest.raises(WireFormatError):
         client.open_segment("s/x")
+
+
+# ---------------------------------------------------------------------------
+# hostile per-unit payloads are typed wire errors, not server bugs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("unit, payload", [
+    (0, b"\x00\x00"),                    # string length header cut short
+    (1, b"\x00\x00\x00\x02\xff\xfe"),    # MIP text that is not UTF-8
+], ids=["short-length-header", "non-utf8-mip"])
+def test_hostile_per_unit_payload_is_a_wire_error(unit, payload):
+    """A release whose string/pointer payload is malformed is refused
+    with a WireFormatError: the segment stays at its version and the
+    server does not count an internal error."""
+    from repro.types import (Field, PointerDescriptor, RecordDescriptor,
+                             StringDescriptor, TypeRegistry)
+    from repro.wire import BlockDiff, RunColumns, SegmentDiff
+    from repro.wire.messages import (LOCK_WRITE, ErrorReply,
+                                     LockAcquireRequest, LockReleaseRequest,
+                                     OpenSegmentRequest, decode_message,
+                                     encode_message)
+
+    server = InterWeaveServer("h")
+    registry = TypeRegistry()
+    type_serial = registry.register(RecordDescriptor("hostile", [
+        Field("name", StringDescriptor(8)),
+        Field("next", PointerDescriptor(INT, "int"))]))
+
+    def rpc(message):
+        return decode_message(server.dispatch("w", encode_message(message)))
+
+    def release(version, block_diff, types=()):
+        rpc(LockAcquireRequest("h/s", LOCK_WRITE, "w", version))
+        return rpc(LockReleaseRequest("h/s", LOCK_WRITE, "w", SegmentDiff(
+            "h/s", version, version + 1, [block_diff], list(types))))
+
+    rpc(OpenSegmentRequest("h/s", create=True, client_id="w"))
+    valid = b"\x00\x00\x00\x02hi" + b"\x00\x00\x00\x00"  # "hi", NULL
+    release(0, BlockDiff(serial=1, is_new=True, type_serial=type_serial,
+                         columns=RunColumns.from_runs([(0, 2, valid)])),
+            types=[(type_serial, registry.encoded(type_serial))])
+    state = server._entry("h/s").state
+    assert state.version == 1
+    hostile = BlockDiff(serial=1,
+                        columns=RunColumns.from_runs([(unit, 1, payload)]))
+
+    with pytest.raises(WireFormatError):
+        state.apply_client_diff(SegmentDiff("h/s", 1, 2, [hostile]))
+    internal_before = server._m_internal_errors.value
+    reply = release(1, hostile)
+    assert isinstance(reply, ErrorReply)
+    assert "internal server error" not in reply.message
+    assert server._m_internal_errors.value == internal_before
+    assert state.version == 1

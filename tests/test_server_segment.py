@@ -14,7 +14,7 @@ from repro.types import (
     TypeRegistry,
     encode_descriptor,
 )
-from repro.wire import BlockDiff, DiffRun, SegmentDiff
+from repro.wire import BlockDiff, RunColumns, SegmentDiff
 
 
 def wire_ints(*values):
@@ -30,7 +30,7 @@ def make_segment_with_array(count=64, values=None):
     values = values if values is not None else list(range(count))
     diff = SegmentDiff("host/data", 0, 0, [
         BlockDiff(serial=1, is_new=True, type_serial=serial,
-                  runs=[DiffRun(0, count, wire_ints(*values))]),
+                  columns=RunColumns.from_runs([(0, count, wire_ints(*values))])),
     ], new_types=[(serial, registry.encoded(serial))])
     state.apply_client_diff(diff)
     return state, serial
@@ -46,21 +46,22 @@ class TestApplyClientDiff:
     def test_version_mismatch_rejected(self):
         state, type_serial = make_segment_with_array(8)
         stale = SegmentDiff("host/data", 0, 0, [
-            BlockDiff(serial=1, runs=[DiffRun(0, 1, wire_ints(9))])])
+            BlockDiff(serial=1, columns=RunColumns.from_runs([(0, 1, wire_ints(9))]))])
         with pytest.raises(ServerError):
             state.apply_client_diff(stale)
 
     def test_partial_update_overwrites_only_named_units(self):
         state, _ = make_segment_with_array(8)
         diff = SegmentDiff("host/data", 1, 0, [
-            BlockDiff(serial=1, runs=[DiffRun(2, 2, wire_ints(-1, -2))])])
+            BlockDiff(serial=1, columns=RunColumns.from_runs(
+                [(2, 2, wire_ints(-1, -2))]))])
         state.apply_client_diff(diff)
         assert state.read_block_wire(1) == wire_ints(0, 1, -1, -2, 4, 5, 6, 7)
 
     def test_unknown_block_rejected(self):
         state, _ = make_segment_with_array(8)
         diff = SegmentDiff("host/data", 1, 0, [
-            BlockDiff(serial=77, runs=[DiffRun(0, 1, wire_ints(1))])])
+            BlockDiff(serial=77, columns=RunColumns.from_runs([(0, 1, wire_ints(1))]))])
         with pytest.raises(ServerError):
             state.apply_client_diff(diff)
 
@@ -84,14 +85,16 @@ class TestSubblockTracking:
         block = state.blocks[1]
         assert list(block.subblock_versions) == [1, 1, 1, 1]
         diff = SegmentDiff("host/data", 1, 0, [
-            BlockDiff(serial=1, runs=[DiffRun(20, 1, wire_ints(-5))])])
+            BlockDiff(serial=1, columns=RunColumns.from_runs(
+                [(20, 1, wire_ints(-5))]))])
         state.apply_client_diff(diff)
         assert list(block.subblock_versions) == [1, 2, 1, 1]
 
     def test_run_spanning_subblocks(self):
         state, _ = make_segment_with_array(64)
         diff = SegmentDiff("host/data", 1, 0, [
-            BlockDiff(serial=1, runs=[DiffRun(14, 4, wire_ints(1, 2, 3, 4))])])
+            BlockDiff(serial=1, columns=RunColumns.from_runs(
+                [(14, 4, wire_ints(1, 2, 3, 4))]))])
         state.apply_client_diff(diff)
         assert list(state.blocks[1].subblock_versions) == [2, 2, 1, 1]
 
@@ -100,13 +103,14 @@ class TestSubblockTracking:
         (the flat region of Figure 5)."""
         state, _ = make_segment_with_array(64)
         diff = SegmentDiff("host/data", 1, 0, [
-            BlockDiff(serial=1, runs=[DiffRun(20, 1, wire_ints(-5))])])
+            BlockDiff(serial=1, columns=RunColumns.from_runs(
+                [(20, 1, wire_ints(-5))]))])
         state.apply_client_diff(diff)
         update = state.build_update(1)
         (block_diff,) = update.block_diffs
-        (run,) = block_diff.runs
-        assert (run.prim_start, run.prim_count) == (16, SUBBLOCK_UNITS)
-        assert run.data == wire_ints(16, 17, 18, 19, -5, *range(21, 32))
+        ((start, count, data),) = block_diff.columns
+        assert (start, count) == (16, SUBBLOCK_UNITS)
+        assert data == wire_ints(16, 17, 18, 19, -5, *range(21, 32))
 
 
 class TestBuildUpdate:
@@ -122,12 +126,12 @@ class TestBuildUpdate:
         assert [serial for serial, _ in update.new_types] == [type_serial]
         (block_diff,) = update.block_diffs
         assert block_diff.is_new
-        assert block_diff.runs[0].data == wire_ints(*range(8))
+        assert block_diff.columns.data == wire_ints(*range(8))
 
     def test_incremental_update_smaller_than_full(self):
         state, _ = make_segment_with_array(1024)
         diff = SegmentDiff("host/data", 1, 0, [
-            BlockDiff(serial=1, runs=[DiffRun(0, 1, wire_ints(-1))])])
+            BlockDiff(serial=1, columns=RunColumns.from_runs([(0, 1, wire_ints(-1))]))])
         state.apply_client_diff(diff)
         full = state.build_update(0)
         incremental = state.build_update(1)
@@ -137,12 +141,13 @@ class TestBuildUpdate:
     def test_merged_adjacent_stale_subblocks(self):
         state, _ = make_segment_with_array(64)
         diff = SegmentDiff("host/data", 1, 0, [
-            BlockDiff(serial=1, runs=[DiffRun(0, 40, wire_ints(*([-1] * 40)))])])
+            BlockDiff(serial=1, columns=RunColumns.from_runs(
+                [(0, 40, wire_ints(*([-1] * 40)))]))])
         state.apply_client_diff(diff)
         update = state.build_update(1)
-        (run,) = update.block_diffs[0].runs
+        ((start, count, _),) = update.block_diffs[0].columns
         # subblocks 0,1,2 merge into one run of 48 units
-        assert (run.prim_start, run.prim_count) == (0, 48)
+        assert (start, count) == (0, 48)
 
     def test_free_tombstone_included_for_stale_client(self):
         state, _ = make_segment_with_array(8)
@@ -159,7 +164,8 @@ class TestBuildUpdate:
         for version in range(5):
             unit = version * 4
             state.apply_client_diff(SegmentDiff("host/data", state.version, 0, [
-                BlockDiff(serial=1, runs=[DiffRun(unit, 1, wire_ints(-version))])]))
+                BlockDiff(serial=1, columns=RunColumns.from_runs(
+                    [(unit, 1, wire_ints(-version))]))]))
         update = state.build_update(1)
         assert update.to_version == 6
         covered = update.block_diffs[0].covered_units()
@@ -171,7 +177,7 @@ class TestSkeleton:
         state, type_serial = make_segment_with_array(8)
         skeleton = state.build_skeleton()
         (block_diff,) = skeleton.block_diffs
-        assert block_diff.is_new and block_diff.runs == []
+        assert block_diff.is_new and block_diff.columns.run_count == 0
         assert block_diff.type_serial == type_serial
         assert skeleton.new_types
 
@@ -185,7 +191,7 @@ class TestVariableData:
         wire = struct.pack(">I", 5) + b"hello"
         state.apply_client_diff(SegmentDiff("host/s", 0, 0, [
             BlockDiff(serial=1, is_new=True, type_serial=serial,
-                      runs=[DiffRun(0, 1, wire)])],
+                      columns=RunColumns.from_runs([(0, 1, wire)]))],
             new_types=[(serial, registry.encoded(serial))]))
         assert state.read_block_wire(1) == wire
 
@@ -198,7 +204,7 @@ class TestVariableData:
         wire = struct.pack(">I", len(mip)) + mip
         state.apply_client_diff(SegmentDiff("host/p", 0, 0, [
             BlockDiff(serial=1, is_new=True, type_serial=serial,
-                      runs=[DiffRun(0, 1, wire)])],
+                      columns=RunColumns.from_runs([(0, 1, wire)]))],
             new_types=[(serial, registry.encoded(serial))]))
         assert state.mip_store == ["host/other#3#7"]
         assert state.read_block_wire(1) == wire
@@ -212,7 +218,7 @@ class TestVariableData:
         one = struct.pack(">I", len(mip)) + mip
         state.apply_client_diff(SegmentDiff("host/p", 0, 0, [
             BlockDiff(serial=1, is_new=True, type_serial=serial,
-                      runs=[DiffRun(0, 3, one * 3)])],
+                      columns=RunColumns.from_runs([(0, 3, one * 3)]))],
             new_types=[(serial, registry.encoded(serial))]))
         assert state.mip_store == ["host/x#1"]  # same MIP stored once
 
@@ -225,7 +231,8 @@ class TestAccounting:
     def test_version_times_recorded(self):
         state, _ = make_segment_with_array(8)
         state.apply_client_diff(SegmentDiff("host/data", 1, 0, [
-            BlockDiff(serial=1, runs=[DiffRun(0, 1, wire_ints(5))])]), now=12.5)
+            BlockDiff(serial=1, columns=RunColumns.from_runs(
+                [(0, 1, wire_ints(5))]))]), now=12.5)
         assert state.version_times[2] == 12.5
 
 
@@ -237,12 +244,12 @@ class TestFailedApplyAtomicity:
         state, _ = make_segment_with_array(8)
         bad = SegmentDiff("host/data", 1, 0, [
             BlockDiff(serial=2, is_new=True, type_serial=999,  # unregistered
-                      runs=[DiffRun(0, 1, wire_ints(1))])])
+                      columns=RunColumns.from_runs([(0, 1, wire_ints(1))]))])
         with pytest.raises(ServerError):
             state.apply_client_diff(bad)
         assert state.version == 1
         good = SegmentDiff("host/data", 1, 0, [
-            BlockDiff(serial=1, runs=[DiffRun(0, 1, wire_ints(42))])])
+            BlockDiff(serial=1, columns=RunColumns.from_runs([(0, 1, wire_ints(42))]))])
         state.apply_client_diff(good)
         assert state.version == 2
         assert state.read_block_wire(1) == wire_ints(42, 1, 2, 3, 4, 5, 6, 7)
@@ -252,8 +259,10 @@ class TestFailedApplyAtomicity:
         valid changes nothing at all."""
         state, _ = make_segment_with_array(8)
         mixed = SegmentDiff("host/data", 1, 0, [
-            BlockDiff(serial=1, runs=[DiffRun(0, 2, wire_ints(-1, -2))]),
-            BlockDiff(serial=77, runs=[DiffRun(0, 1, wire_ints(1))]),  # unknown
+            BlockDiff(serial=1, columns=RunColumns.from_runs(
+                [(0, 2, wire_ints(-1, -2))])),
+            BlockDiff(serial=77, columns=RunColumns.from_runs(
+                [(0, 1, wire_ints(1))])),  # unknown
         ])
         with pytest.raises(ServerError):
             state.apply_client_diff(mixed)
@@ -268,7 +277,8 @@ class TestFailedApplyAtomicity:
         diff = SegmentDiff("host/data", 1, 0, [
             BlockDiff(serial=1, freed=True),
             BlockDiff(serial=2, is_new=True, type_serial=type_serial,
-                      runs=[DiffRun(0, 8, wire_ints(*range(10, 18)))]),
+                      columns=RunColumns.from_runs(
+                          [(0, 8, wire_ints(*range(10, 18)))])),
         ])
         state.apply_client_diff(diff)
         assert 1 not in state.blocks

@@ -12,7 +12,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.server import ServerSegment, read_wal, replay_records
 from repro.server.wal import REC_DIFF, SegmentWAL, WALRecord, WriteAheadLog
 from repro.types import INT, ArrayDescriptor
-from repro.wire import BlockDiff, DiffRun, SegmentDiff, encode_segment_diff
+from repro.wire import BlockDiff, RunColumns, SegmentDiff, encode_segment_diff
 
 from tests.test_server_segment import make_segment_with_array, wire_ints
 
@@ -20,7 +20,7 @@ from tests.test_server_segment import make_segment_with_array, wire_ints
 def make_diff_bytes(value: int, from_version: int) -> bytes:
     return encode_segment_diff(SegmentDiff("host/data", from_version,
                                            from_version + 1, [
-        BlockDiff(serial=1, runs=[DiffRun(0, 1, wire_ints(value))])]))
+        BlockDiff(serial=1, columns=RunColumns.from_runs([(0, 1, wire_ints(value))]))]))
 
 
 class TestSegmentWAL:
@@ -111,7 +111,8 @@ class TestReplay:
             from_version = state.version
             diff = SegmentDiff("host/data", from_version, from_version + 1, [
                 BlockDiff(serial=1,
-                          runs=[DiffRun(0, 1, wire_ints(100 + index))])])
+                          columns=RunColumns.from_runs(
+                              [(0, 1, wire_ints(100 + index))]))])
             state.apply_client_diff(diff, now=float(index))
             records.append(WALRecord(REC_DIFF, from_version, state.version,
                                      float(index), encode_segment_diff(diff)))

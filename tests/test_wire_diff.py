@@ -8,7 +8,7 @@ from repro.errors import WireFormatError
 from repro.types import INT, encode_descriptor
 from repro.wire import (
     BlockDiff,
-    DiffRun,
+    RunColumns,
     SegmentDiff,
     decode_segment_diff,
     encode_segment_diff,
@@ -21,10 +21,11 @@ def sample_diff():
         from_version=3,
         to_version=7,
         block_diffs=[
-            BlockDiff(serial=1, runs=[DiffRun(0, 2, b"\x00\x01\x00\x02")],
+            BlockDiff(serial=1, columns=RunColumns.from_runs(
+                [(0, 2, b"\x00\x01\x00\x02")]),
                       version=7),
             BlockDiff(serial=2, is_new=True, type_serial=4, name="head",
-                      runs=[DiffRun(0, 1, b"\xff")], version=6),
+                      columns=RunColumns.from_runs([(0, 1, b"\xff")]), version=6),
             BlockDiff(serial=9, freed=True, version=7),
         ],
         new_types=[(4, encode_descriptor(INT))],
@@ -43,13 +44,13 @@ class TestRoundtrip:
 
     def test_multiple_runs_preserved_in_order(self):
         diff = SegmentDiff("s", 0, 1, [
-            BlockDiff(serial=5, runs=[
-                DiffRun(0, 1, b"a"), DiffRun(10, 2, b"bc"), DiffRun(99, 1, b"d"),
-            ]),
+            BlockDiff(serial=5, columns=RunColumns.from_runs([
+                (0, 1, b"a"), (10, 2, b"bc"), (99, 1, b"d"),
+            ])),
         ])
         decoded = decode_segment_diff(encode_segment_diff(diff))
-        runs = decoded.block_diffs[0].runs
-        assert [(r.prim_start, r.prim_count, r.data) for r in runs] == [
+        runs = decoded.block_diffs[0].columns
+        assert [(start, count, bytes(data)) for start, count, data in runs] == [
             (0, 1, b"a"), (10, 2, b"bc"), (99, 1, b"d")]
 
 
@@ -68,9 +69,10 @@ class TestAccounting:
     def test_diff_smaller_than_full_for_small_change(self):
         """A one-run diff of a big block beats shipping the whole block."""
         full = SegmentDiff("s", 0, 1, [
-            BlockDiff(serial=1, runs=[DiffRun(0, 1000, b"\x00" * 4000)])])
+            BlockDiff(serial=1, columns=RunColumns.from_runs(
+                [(0, 1000, b"\x00" * 4000)]))])
         small = SegmentDiff("s", 1, 2, [
-            BlockDiff(serial=1, runs=[DiffRun(17, 1, b"\x00" * 4)])])
+            BlockDiff(serial=1, columns=RunColumns.from_runs([(17, 1, b"\x00" * 4)]))])
         assert len(encode_segment_diff(small)) < len(encode_segment_diff(full)) / 50
 
 
@@ -89,11 +91,10 @@ class TestErrors:
 block_diffs = st.builds(
     BlockDiff,
     serial=st.integers(1, 2**31),
-    runs=st.lists(st.builds(
-        DiffRun,
-        prim_start=st.integers(0, 2**20),
-        prim_count=st.integers(1, 2**20),
-        data=st.binary(max_size=40)), max_size=5),
+    columns=st.lists(st.tuples(
+        st.integers(0, 2**20),
+        st.integers(1, 2**20),
+        st.binary(max_size=40)), max_size=5).map(RunColumns.from_runs),
     is_new=st.booleans(),
     freed=st.booleans(),
     type_serial=st.integers(0, 100),

@@ -1,41 +1,23 @@
 """The zero-copy diff data plane: equivalence, lifetime, and accounting.
 
 The columnar wire path (single-buffer backpatched encode, memoryview
-decode, ``RunColumns``/lazy runs) must be byte-identical on the wire to
-the legacy per-run path it replaced, reject every truncation, and never
-hand out a view whose backing buffer can be mutated or recycled under
-it.  ``REPRO_WIRE_LEGACY_DATAPLANE`` / ``set_legacy_dataplane`` keeps
-the old plane alive as a benchmark baseline; these tests are the
-compatibility contract between the two.
+decode, ``RunColumns``) must round-trip every diff, reject every
+truncation, and never hand out a view whose backing buffer can be
+mutated or recycled under it.  The pre-columnar codec it replaced lives
+on as a reference codec in ``benchmarks/legacy_dataplane.py``; its
+compatibility tests sit beside it in ``benchmarks/bench_datasize.py``.
 """
 
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import WireFormatError
 from repro.obs.metrics import get_registry
 from repro.types import INT, ArrayDescriptor, encode_descriptor
-from repro.wire import (
-    RunColumns,
-    block_diff_from_columns,
-    decode_segment_diff,
-    encode_segment_diff,
-    legacy_dataplane_enabled,
-    set_legacy_dataplane,
-)
-from repro.wire.diff import BlockDiff, DiffRun, SegmentDiff
-
-
-@pytest.fixture
-def legacy_toggle():
-    """Restore the data-plane toggle no matter how the test exits."""
-    assert not legacy_dataplane_enabled()
-    yield set_legacy_dataplane
-    set_legacy_dataplane(False)
+from repro.wire import RunColumns, decode_segment_diff, encode_segment_diff
+from repro.wire.diff import BlockDiff, SegmentDiff
 
 
 def _random_segment_diff(rng: random.Random) -> SegmentDiff:
@@ -49,17 +31,17 @@ def _random_segment_diff(rng: random.Random) -> SegmentDiff:
             for _ in range(rng.randint(0, 8)):
                 cursor += rng.randint(0, 20)
                 count = rng.randint(1, 16)
-                data = rng.randbytes(count * 4)
-                runs.append(DiffRun(cursor, count, data))
+                runs.append((cursor, count, rng.randbytes(count * 4)))
                 cursor += count
+        columns = RunColumns.from_runs(runs)
         if kind == "named_new":
             block_diffs.append(BlockDiff(
-                serial=serial, runs=runs, is_new=True, type_serial=7,
+                serial=serial, columns=columns, is_new=True, type_serial=7,
                 name=f"block-{serial}", version=rng.randint(0, 9)))
         elif kind == "freed":
             block_diffs.append(BlockDiff(serial=serial, freed=True))
         else:
-            block_diffs.append(BlockDiff(serial=serial, runs=runs,
+            block_diffs.append(BlockDiff(serial=serial, columns=columns,
                                          version=rng.randint(0, 9)))
     new_types = []
     if rng.random() < 0.5:
@@ -68,42 +50,21 @@ def _random_segment_diff(rng: random.Random) -> SegmentDiff:
                        new_types=new_types)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**31))
-def test_both_planes_roundtrip_equal_objects(seed):
-    """Each plane must round-trip any diff to an equal object (lazy runs
-    and memoryview payloads compare by value), and both encodings must
-    be the same size — the columnar body reorders the legacy plane's
-    interleaved headers, it never adds bytes, so every size-accounting
-    number in the paper's tables is plane-independent."""
-    diff = _random_segment_diff(random.Random(seed))
-    try:
-        set_legacy_dataplane(False)
-        new_wire = encode_segment_diff(diff)
-        assert decode_segment_diff(new_wire) == diff
-        set_legacy_dataplane(True)
-        legacy_wire = encode_segment_diff(diff)
-        assert decode_segment_diff(legacy_wire) == diff
-    finally:
-        set_legacy_dataplane(False)
-    assert len(new_wire) == len(legacy_wire)
-
-
 def test_columnar_roundtrip_from_columns():
-    """A diff built straight from RunColumns (the collect fast path)
-    encodes and decodes like its run-list equivalent."""
+    """Columns built straight from arrays (the batched collect path)
+    encode byte-identically to columns joined from run triples, and
+    decode to an equal diff."""
     starts = np.array([0, 10, 40], dtype=np.int64)
     counts = np.array([2, 1, 4], dtype=np.int64)
     lens = counts * 4
     data = bytes(range(28))
-    columns = RunColumns(starts, counts, lens, data)
-    columnar = SegmentDiff("s", 1, 2, [block_diff_from_columns(3, columns)])
-    listed = SegmentDiff("s", 1, 2, [BlockDiff(serial=3, runs=[
-        DiffRun(0, 2, data[0:8]),
-        DiffRun(10, 1, data[8:12]),
-        DiffRun(40, 4, data[12:28])])])
-    assert encode_segment_diff(columnar) == encode_segment_diff(listed)
-    assert decode_segment_diff(encode_segment_diff(columnar)) == listed
+    columnar = SegmentDiff("s", 1, 2, [BlockDiff(
+        serial=3, columns=RunColumns(starts, counts, lens, data))])
+    joined = SegmentDiff("s", 1, 2, [BlockDiff(
+        serial=3, columns=RunColumns.from_runs([
+            (0, 2, data[0:8]), (10, 1, data[8:12]), (40, 4, data[12:28])]))])
+    assert encode_segment_diff(columnar) == encode_segment_diff(joined)
+    assert decode_segment_diff(encode_segment_diff(columnar)) == joined
 
 
 def test_every_truncation_rejected():
@@ -118,51 +79,40 @@ def test_every_truncation_rejected():
 def test_decoded_views_alias_immutable_buffer():
     """Runs decoded from bytes are memoryview slices of that buffer
     (zero copies), and retaining them keeps the buffer alive."""
-    diff = SegmentDiff("s", 1, 2, [BlockDiff(serial=1, runs=[
-        DiffRun(0, 4, b"\x01\x02\x03\x04" * 4),
-        DiffRun(20, 1, b"\xaa\xbb\xcc\xdd")])])
+    diff = SegmentDiff("s", 1, 2, [BlockDiff(serial=1, columns=RunColumns.from_runs([
+        (0, 4, b"\x01\x02\x03\x04" * 4),
+        (20, 1, b"\xaa\xbb\xcc\xdd")]))])
     wire = encode_segment_diff(diff)
-    decoded = decode_segment_diff(wire)
-    runs = list(decoded.block_diffs[0].runs)
-    assert all(isinstance(run.data, memoryview) for run in runs)
-    assert all(run.data.obj is wire for run in runs)
+    columns = decode_segment_diff(wire).block_diffs[0].columns
+    assert isinstance(columns.data, memoryview)
+    assert columns.data.obj is wire
     del wire, diff  # the views must pin the encoded buffer
-    assert bytes(runs[0].data) == b"\x01\x02\x03\x04" * 4
-    assert bytes(runs[1].data) == b"\xaa\xbb\xcc\xdd"
+    runs = [bytes(data) for _, _, data in columns]
+    assert runs == [b"\x01\x02\x03\x04" * 4, b"\xaa\xbb\xcc\xdd"]
 
 
 def test_decode_from_mutable_buffer_materializes():
     """Decoding from a mutable buffer (a reused receive buffer) must
     copy the payloads out — later mutation cannot corrupt the diff."""
-    diff = SegmentDiff("s", 1, 2, [BlockDiff(serial=1, runs=[
-        DiffRun(0, 4, b"\x11\x22\x33\x44" * 4)])])
+    diff = SegmentDiff("s", 1, 2, [BlockDiff(serial=1, columns=RunColumns.from_runs([
+        (0, 4, b"\x11\x22\x33\x44" * 4)]))])
     buffer = bytearray(encode_segment_diff(diff))
     decoded = decode_segment_diff(buffer)
     buffer[:] = b"\x00" * len(buffer)  # recycle the buffer
-    (run,) = list(decoded.block_diffs[0].runs)
-    assert bytes(run.data) == b"\x11\x22\x33\x44" * 4
+    ((_, _, data),) = list(decoded.block_diffs[0].columns)
+    assert bytes(data) == b"\x11\x22\x33\x44" * 4
 
 
 def test_materialize_detaches_and_counts_copies():
     """materialize() converts every view to owned bytes and records the
     copied bytes in wire.bytes_copied."""
-    diff = SegmentDiff("s", 1, 2, [BlockDiff(serial=1, runs=[
-        DiffRun(0, 8, bytes(range(32)))])])
+    diff = SegmentDiff("s", 1, 2, [BlockDiff(serial=1, columns=RunColumns.from_runs([
+        (0, 8, bytes(range(32)))]))])
     decoded = decode_segment_diff(encode_segment_diff(diff))
     counter = get_registry().counter("wire.bytes_copied")
     before = counter.value
     decoded.materialize()
     assert counter.value - before >= 32
     for block_diff in decoded.block_diffs:
-        for run in block_diff.runs:
-            assert isinstance(run.data, bytes)
+        assert isinstance(block_diff.columns.data, bytes)
     assert decoded == diff
-
-
-def test_legacy_toggle_roundtrips(legacy_toggle):
-    """The baseline plane still works end to end (the bench depends on
-    it) and reports its state."""
-    legacy_toggle(True)
-    assert legacy_dataplane_enabled()
-    diff = _random_segment_diff(random.Random(7))
-    assert decode_segment_diff(encode_segment_diff(diff)) == diff
