@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Connection-scale comparison: threaded vs asyncio server core.
+"""Connection-scale comparison: the asyncio server core vs the threaded
+baseline.
 
 The paper's servers hold long-lived sessions for every sharing client;
 a segment served to thousands of mostly-idle clients stresses the
-*connection plane*, not the data plane.  The thread-per-connection
-transport pays two OS threads per connection; the asyncio core
-(``repro.transport.aio``) multiplexes every connection onto one event
-loop.  This benchmark prices that difference at 1k/5k/10k concurrent
+*connection plane*, not the data plane.  The server core
+(``repro.transport.TCPServerTransport``) multiplexes every connection
+onto one event loop; the thread-per-connection baseline
+(``benchmarks/threaded_core.py``) pays two OS threads per connection.
+This benchmark prices that difference at 1k/5k/10k concurrent
 connections:
 
 - every connection is *idle-mostly*: it completes one seq-0 handshake
@@ -19,11 +21,11 @@ connections:
   hot-path p50/p99 latency, and per-connection resident memory measured
   across connection establishment.
 
-The threaded backend is measured at its own survivable scale
+The threaded baseline is measured at its own survivable scale
 (``REPRO_BENCH_CONNSCALE_THREADED_MAX`` connections, default 5000 —
 two OS threads per connection make 10k a 20k-thread server); the
-asyncio backend runs every point including 10k.  Acceptance: at the
-5k point the asyncio core sustains >= 2x the threaded backend's
+asyncio core runs every point including 10k.  Acceptance: at the 5k
+point the asyncio core sustains >= 2x the threaded baseline's
 aggregate requests/s, and the 10k asyncio point completes cleanly.
 
 Results land in ``BENCH_connscale.json`` at the repo root plus a
@@ -54,12 +56,12 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from common import make_tcp_server_transport
+from threaded_core import ThreadedTCPServerTransport
 
 from repro import ClientOptions, InterWeaveClient, InterWeaveServer
 from repro.arch import X86_32
 from repro.obs import get_registry, write_sidecar
-from repro.transport import TCPChannel
+from repro.transport import TCPChannel, TCPServerTransport
 from repro.transport.base import ReplyCache
 from repro.transport.tcp import request_frame_buffers
 from repro.wire.messages import (
@@ -77,7 +79,7 @@ DURATION = float(os.environ.get("REPRO_BENCH_CONNSCALE_SECONDS", "2.0"))
 #: target interval between background pings to each idle connection
 PING_INTERVAL = float(os.environ.get("REPRO_BENCH_CONNSCALE_PING_INTERVAL",
                                      "1.0"))
-#: largest connection count the thread-per-connection backend is asked
+#: largest connection count the thread-per-connection baseline is asked
 #: to survive (two OS threads per connection)
 THREADED_MAX = int(os.environ.get("REPRO_BENCH_CONNSCALE_THREADED_MAX",
                                   "5000"))
@@ -380,9 +382,10 @@ def run_point(backend: str, conns: int,
               flush=True)
 
     server = InterWeaveServer("bench")
-    transport = make_tcp_server_transport(
-        server, backend=backend,
-        reply_cache=ReplyCache(max_clients=max(1024, 2 * hot)))
+    cls = {"threads": ThreadedTCPServerTransport,
+           "asyncio": TCPServerTransport}[backend]
+    transport = cls(server,
+                    reply_cache=ReplyCache(max_clients=max(1024, 2 * hot)))
     pinger = None
     socks = []
     try:
@@ -489,7 +492,7 @@ def _point(results, backend, conns):
 
 def test_asyncio_doubles_threaded_throughput_at_5k():
     """At the 5k point the asyncio core must sustain >= 2x the threaded
-    backend's aggregate requests/s (threaded measured at its own
+    baseline's aggregate requests/s (threaded measured at its own
     survivable scale, capped by THREADED_MAX)."""
     results = _results()
     target = 5000 if 5000 in POINTS else max(POINTS)

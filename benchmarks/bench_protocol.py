@@ -64,12 +64,12 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import pytest
 
-from common import LatencyRelay, make_tcp_server_transport, make_world
+from common import LatencyRelay, make_world
 
 from repro import ClientOptions, InterWeaveClient, InterWeaveServer, temporal
 from repro.arch import X86_32
 from repro.obs import get_registry, write_sidecar
-from repro.transport import MultiplexingChannel, TCPChannel
+from repro.transport import MultiplexingChannel, TCPChannel, TCPServerTransport
 from repro.types import INT
 from repro.wire.codec import Writer
 from repro.wire.messages import (
@@ -117,7 +117,7 @@ def inproc():
 @pytest.fixture(scope="module")
 def tcp():
     server = InterWeaveServer("bench")
-    transport = make_tcp_server_transport(server)
+    transport = TCPServerTransport(server)
 
     def connector(server_name, client_id):
         return TCPChannel("127.0.0.1", transport.port, client_id)
@@ -238,7 +238,7 @@ def _drive(channel, pairs, duration: float) -> dict:
 
 def run_pipelining_comparison(duration: float = DURATION) -> dict:
     server = InterWeaveServer("bench")
-    transport = make_tcp_server_transport(server)
+    transport = TCPServerTransport(server)
     relay = LatencyRelay("127.0.0.1", transport.port, delay=LINK_DELAY)
     try:
         # segment setup goes straight to the server — only the measured
@@ -263,11 +263,6 @@ def run_pipelining_comparison(duration: float = DURATION) -> dict:
     batch = snapshot.get("histograms", {}).get("transport.mux.batch_frames")
     if batch and batch["count"]:
         pipelined["mean_send_batch_frames"] = batch["sum"] / batch["count"]
-    reply_batch = snapshot.get("histograms", {}).get(
-        "transport.server.reply_batch_frames")
-    if reply_batch and reply_batch["count"]:
-        pipelined["mean_reply_batch_frames"] = (
-            reply_batch["sum"] / reply_batch["count"])
     pipelined["health"] = {key: mux_health[key] for key in
                            ("inflight", "reconnects", "resends",
                             "orphan_replies") if key in mux_health}
@@ -426,9 +421,7 @@ def main() -> None:
           "(acceptance bar: 3x)")
     batch = comparison["pipelined"].get("mean_send_batch_frames")
     if batch:
-        print(f"mean client send batch: {batch:.1f} frames; "
-              f"mean server reply batch: "
-              f"{comparison['pipelined'].get('mean_reply_batch_frames', 1):.1f}")
+        print(f"mean client send batch: {batch:.1f} frames")
     codec = results["codec_writer"]
     print(f"codec writer: {codec['list_join_ns_per_field']:.0f} ns/field "
           f"(list+join) -> {codec['bytearray_ns_per_field']:.0f} ns/field "

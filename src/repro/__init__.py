@@ -50,7 +50,6 @@ from repro.proxy import CachingProxy
 from repro.replication import ReplicationSender
 from repro.server import InterWeaveServer, WriteAheadLog
 from repro.transport import (
-    AsyncTCPServerTransport,
     FaultInjectingChannel,
     FaultPlan,
     InProcHub,
@@ -69,7 +68,6 @@ from repro.util.clock import VirtualClock, WallClock
 __version__ = "1.0.0"
 
 __all__ = [
-    "AsyncTCPServerTransport",
     "CachingProxy",
     "ClientOptions",
     "ClusterCoordinator",

@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.tools.cluster_main [--origins N] [--host H]
-        [--directory-port P] [--diff-cache-mb M]
+        [--directory-port P] [--diff-cache-mb M] [--gateway-port P]
 
 Runs a :class:`~repro.cluster.SegmentDirectory` plus ``N`` origin
 servers (``origin-0`` ... ``origin-N-1``), each behind its own
@@ -29,8 +29,8 @@ import threading
 from repro.cluster import ClusterCoordinator, SegmentDirectory
 from repro.obs.metrics import MetricsRegistry
 from repro.server import InterWeaveServer
-from repro.tools.common import add_io_arguments, make_server_transport, run_service
-from repro.transport import MuxConnectionPool, RetryPolicy
+from repro.tools.common import add_gateway_argument, run_service
+from repro.transport import MuxConnectionPool, RetryPolicy, TCPServerTransport
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-origin diff cache capacity in MiB")
     parser.add_argument("--ring-replicas", type=int, default=64,
                         help="virtual ring points per origin")
-    add_io_arguments(parser)
+    add_gateway_argument(parser)
     return parser
 
 
@@ -65,18 +65,18 @@ def serve(args, ready_event: "threading.Event" = None,
         server = InterWeaveServer(
             name, metrics=MetricsRegistry(),
             diff_cache_bytes=args.diff_cache_mb * 1024 * 1024)
-        # origins inherit the --io backend; the gateway (if any) mounts
-        # on the directory below, the one address clients already know
-        transport = make_server_transport(server, args, host=args.host,
-                                          port=0, gateway=False)
+        # the gateway (if any) mounts on the directory below, the one
+        # address clients already know
+        transport = TCPServerTransport(server, host=args.host, port=0)
         transports.append(transport)
         addresses[name] = (transport.host, transport.port)
 
     directory = SegmentDirectory(origins=origin_names,
                                  replicas=args.ring_replicas,
                                  metrics=MetricsRegistry())
-    directory_transport = make_server_transport(
-        directory, args, host=args.host, port=args.directory_port)
+    directory_transport = TCPServerTransport(
+        directory, host=args.host, port=args.directory_port,
+        gateway_port=args.gateway_port)
     transports.append(directory_transport)
 
     pool = MuxConnectionPool(dict(addresses), retry=RetryPolicy())
@@ -95,19 +95,17 @@ def serve(args, ready_event: "threading.Event" = None,
         pool.close()
 
     gateway = ""
-    if getattr(directory_transport, "gateway_port", None) is not None:
+    if directory_transport.gateway_port is not None:
         gateway = (f"; gateway at http://{directory_transport.gateway_host}:"
                    f"{directory_transport.gateway_port}")
     return run_service(
         f"[repro-cluster] directory on "
-        f"{directory_transport.host}:{directory_transport.port} "
-        f"[{args.io}]{gateway}; "
+        f"{directory_transport.host}:{directory_transport.port}{gateway}; "
         f"{args.origins} origin(s): {listing}",
         ready_event, stop_event,
         ready_attrs={"ready_port": directory_transport.port,
                      "ready_ports": ports,
-                     "ready_gateway_port": getattr(directory_transport,
-                                                   "gateway_port", None)},
+                     "ready_gateway_port": directory_transport.gateway_port},
         cleanup=cleanup)
 
 

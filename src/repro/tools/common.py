@@ -16,49 +16,14 @@ import threading
 from typing import Callable, Optional
 
 
-def add_io_arguments(parser: "argparse.ArgumentParser") -> None:
-    """Add the server I/O backend flags shared by every listening tool.
-
-    ``--io threads`` (default) is the thread-per-connection transport;
-    ``--io asyncio`` runs every connection on one event loop and can
-    additionally mount the HTTP/1.1 JSON gateway with ``--gateway-port``
-    (see docs/GATEWAY.md).
-    """
-    parser.add_argument("--io", choices=("threads", "asyncio"),
-                        default="threads",
-                        help="server I/O backend: 'threads' = one "
-                             "reader/writer thread pair per connection; "
-                             "'asyncio' = one event loop for every "
-                             "connection (10k+ connections)")
+def add_gateway_argument(parser: "argparse.ArgumentParser") -> None:
+    """Add ``--gateway-port``, shared by every listening tool: also serve
+    the read-only HTTP/1.1 JSON gateway (see docs/GATEWAY.md)."""
     parser.add_argument("--gateway-port", type=int, default=None,
                         metavar="PORT",
-                        help="with --io asyncio: also serve the HTTP/1.1 "
-                             "JSON gateway (GET /segments/{name}, "
-                             "GET /stats) on this port (0 = pick a free "
-                             "one)")
-
-
-def make_server_transport(dispatcher, args, *, host=None, port=None,
-                          gateway: bool = True, **kwargs):
-    """Build the server transport selected by ``--io``.
-
-    ``host``/``port`` default to ``args.host``/``args.port`` so single
-    -listener tools need no arguments; multi-listener tools (cluster)
-    pass them explicitly and set ``gateway=False`` for the listeners
-    that should not mount the HTTP gateway.
-    """
-    from repro.transport import AsyncTCPServerTransport, TCPServerTransport
-
-    host = args.host if host is None else host
-    port = args.port if port is None else port
-    io = getattr(args, "io", "threads")
-    gateway_port = getattr(args, "gateway_port", None) if gateway else None
-    if io == "asyncio":
-        return AsyncTCPServerTransport(dispatcher, host=host, port=port,
-                                       gateway_port=gateway_port, **kwargs)
-    if gateway_port is not None:
-        raise SystemExit("--gateway-port requires --io asyncio")
-    return TCPServerTransport(dispatcher, host=host, port=port, **kwargs)
+                        help="also serve the HTTP/1.1 JSON gateway "
+                             "(GET /segments/{name}, GET /stats) on this "
+                             "port (0 = pick a free one)")
 
 
 def run_service(banner: str,

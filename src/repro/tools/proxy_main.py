@@ -4,6 +4,7 @@ Usage::
 
     python -m repro.tools.proxy_main --origin-host H --origin-port P
         [--name NAME] [--host H] [--port P] [--max-staleness S]
+        [--gateway-port P]
 
 Runs a :class:`~repro.proxy.CachingProxy` behind a
 :class:`~repro.transport.TCPServerTransport`.  Downstream clients
@@ -30,8 +31,8 @@ import threading
 
 from repro.cluster import DirectoryResolver
 from repro.proxy import CachingProxy
-from repro.tools.common import add_io_arguments, make_server_transport, run_service
-from repro.transport import MuxConnectionPool, RetryPolicy
+from repro.tools.common import add_gateway_argument, run_service
+from repro.transport import MuxConnectionPool, RetryPolicy, TCPServerTransport
 
 
 def _parse_origin_server(spec: str):
@@ -78,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory server name for failover "
                              "re-resolution (must be reachable through "
                              "--origin-server)")
-    add_io_arguments(parser)
+    add_gateway_argument(parser)
     return parser
 
 
@@ -99,7 +100,8 @@ def serve(args, ready_event: "threading.Event" = None,
         diff_cache_bytes=args.diff_cache_mb * 1024 * 1024,
         max_staleness=args.max_staleness,
         resolver=resolver)
-    transport = make_server_transport(proxy, args)
+    transport = TCPServerTransport(proxy, host=args.host, port=args.port,
+                                   gateway_port=args.gateway_port)
 
     def cleanup() -> None:
         transport.close()
@@ -109,17 +111,16 @@ def serve(args, ready_event: "threading.Event" = None,
         pool.close()
 
     gateway = ""
-    if getattr(transport, "gateway_port", None) is not None:
+    if transport.gateway_port is not None:
         gateway = (f", gateway at http://{transport.gateway_host}:"
                    f"{transport.gateway_port}")
     return run_service(
         f"[repro-proxy] {args.name!r} listening on "
-        f"{transport.host}:{transport.port} [{args.io}]{gateway}, origin at "
+        f"{transport.host}:{transport.port}{gateway}, origin at "
         f"{args.origin_host}:{args.origin_port}",
         ready_event, stop_event,
         ready_attrs={"ready_port": transport.port,
-                     "ready_gateway_port": getattr(transport, "gateway_port",
-                                                   None)},
+                     "ready_gateway_port": transport.gateway_port},
         cleanup=cleanup)
 
 

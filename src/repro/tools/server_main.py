@@ -5,6 +5,7 @@ Usage::
     python -m repro.tools.server_main [--host H] [--port P]
         [--checkpoint-dir DIR] [--checkpoint-every N] [--restore]
         [--wal-dir DIR] [--no-wal-fsync] [--role primary|backup]
+        [--gateway-port P]
 
 Runs an :class:`~repro.server.InterWeaveServer` behind a
 :class:`~repro.transport.TCPServerTransport`.  With ``--restore``, the
@@ -26,7 +27,8 @@ import sys
 import threading
 
 from repro.server import InterWeaveServer
-from repro.tools.common import add_io_arguments, make_server_transport, run_service
+from repro.tools.common import add_gateway_argument, run_service
+from repro.transport import TCPServerTransport
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "backup before degrading to async")
     parser.add_argument("--diff-cache-mb", type=int, default=16,
                         help="diff cache capacity in MiB")
-    add_io_arguments(parser)
+    add_gateway_argument(parser)
     return parser
 
 
@@ -90,7 +92,8 @@ def serve(args, ready_event: "threading.Event" = None,
         recovery = server.recover_segments()
         restored = len(server.segments)
         replayed = sum(applied for applied, _skipped in recovery.values())
-    transport = make_server_transport(server, args)
+    transport = TCPServerTransport(server, host=args.host, port=args.port,
+                                   gateway_port=args.gateway_port)
 
     def cleanup() -> None:
         transport.close()
@@ -102,18 +105,16 @@ def serve(args, ready_event: "threading.Event" = None,
         server.close()
 
     gateway = ""
-    if getattr(transport, "gateway_port", None) is not None:
+    if transport.gateway_port is not None:
         gateway = (f", gateway at http://{transport.gateway_host}:"
                    f"{transport.gateway_port}")
     return run_service(
         f"[repro-server] {args.name!r} ({args.role}) listening on "
-        f"{transport.host}:{transport.port} [{args.io}]{gateway} "
-        f"({restored} segment(s) restored, {replayed} WAL record(s) "
-        f"replayed)",
+        f"{transport.host}:{transport.port} ({restored} segment(s) "
+        f"restored, {replayed} WAL record(s) replayed){gateway}",
         ready_event, stop_event,
         ready_attrs={"ready_port": transport.port,
-                     "ready_gateway_port": getattr(transport, "gateway_port",
-                                                   None)},
+                     "ready_gateway_port": transport.gateway_port},
         cleanup=cleanup)
 
 

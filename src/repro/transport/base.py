@@ -17,11 +17,11 @@ from __future__ import annotations
 import logging
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
 _log = logging.getLogger(__name__)
 
-from repro.errors import TransportTimeout, WireFormatError
+from repro.errors import TransportError, TransportTimeout, WireFormatError
 from repro.obs.metrics import get_registry
 
 
@@ -60,6 +60,21 @@ class ReplyFuture:
         if self._error is not None:
             raise self._error
         return self._reply
+
+
+def request_payload(data) -> Union[bytes, memoryview]:
+    """Check a request payload and return it as an immutable buffer.
+
+    Channels carry serialized bytes.  ``bytes`` and read-only
+    ``memoryview`` slices (a relay forwards the request body it received
+    without copying it) pass through; mutable buffers are snapshotted,
+    since a retry may re-send the payload later.
+    """
+    if isinstance(data, bytes) or (isinstance(data, memoryview) and data.readonly):
+        return data
+    if isinstance(data, (bytearray, memoryview)):
+        return bytes(data)
+    raise TransportError("channels carry bytes only; serialize the message first")
 
 
 class TransportStats:
@@ -195,12 +210,15 @@ class Dispatcher:
 
     Contract: ``dispatch`` must be thread-safe and must always return an
     encoded reply — transports call it concurrently (the TCP server runs
-    one thread per connection, and several in-process clients may share a
-    hub from different threads), and a raised exception would tear down
-    the calling connection (TCP) or leak straight into the client's
-    ``request()`` call (in-process) instead of producing a typed
+    dispatches on a pool of threads, and several in-process clients may
+    share a hub from different threads), and a raised exception would
+    tear down the calling connection (TCP) or leak straight into the
+    client's ``request()`` call (in-process) instead of producing a typed
     ``ErrorReply``.  Implementations answer malformed or unprocessable
     requests with an encoded ``ErrorReply`` rather than raising.
+
+    ``data`` is a read-only bytes-like object: ``bytes``, or (over TCP) a
+    ``memoryview`` of the request body inside the received frame.
     """
 
     def dispatch(self, client_id: str, data: bytes) -> bytes:

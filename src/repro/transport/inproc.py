@@ -23,7 +23,13 @@ import time
 from typing import Callable, Dict, Optional
 
 from repro.errors import TransportError
-from repro.transport.base import Channel, Dispatcher, NetworkModel, NotificationSink
+from repro.transport.base import (
+    Channel,
+    Dispatcher,
+    NetworkModel,
+    NotificationSink,
+    request_payload,
+)
 from repro.util.clock import Clock
 
 
@@ -43,10 +49,9 @@ class InProcChannel(Channel):
     def request(self, data: bytes) -> bytes:
         if self._closed:
             raise TransportError("channel is closed")
-        if not isinstance(data, (bytes, bytearray)):
-            raise TransportError("channels carry bytes only; serialize the message first")
+        data = request_payload(data)
         started = time.perf_counter()
-        reply = self._hub.deliver(self._server_name, self._client_id, bytes(data))
+        reply = self._hub.deliver(self._server_name, self._client_id, data)
         self._record_request(len(data), len(reply),
                              time.perf_counter() - started)
         return reply

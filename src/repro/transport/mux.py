@@ -47,7 +47,7 @@ from repro.errors import (
     TransportTimeout,
 )
 from repro.obs.metrics import get_registry
-from repro.transport.base import Channel, ReplyFuture
+from repro.transport.base import Channel, ReplyFuture, request_payload
 from repro.transport.retry import RetryPolicy, is_retryable
 from repro.transport.tcp import (
     _recv_frame,
@@ -474,15 +474,14 @@ class MultiplexingChannel(Channel):
             self.reconnect_listener()
 
     def _submit(self, data: bytes) -> Tuple[Tuple[int, int], ReplyFuture, int]:
-        if not isinstance(data, (bytes, bytearray)):
-            raise TransportError("channels carry bytes only; serialize the message first")
+        data = request_payload(data)
         if self._closed:
             raise TransportError("channel is closed")
         with self._seq_lock:
             self._next_seq += 1
             seq = self._next_seq
         buffers = request_frame_buffers(self._client_id, self._nonce, seq,
-                                        bytes(data))
+                                        data)
         key = (self._nonce, seq)
         future = self._core.submit(buffers, key)
         return key, future, sum(len(b) for b in buffers) - 4

@@ -13,16 +13,15 @@ replies may return out of order (see ``MultiplexingChannel`` in
 ``repro.transport.mux``).  The reserved pair ``(0, 0)`` marks a reply to
 a frame whose header could not be parsed and is therefore unattributable.
 
-The server runs one *reader* thread per connection, hands each decoded
-frame to a shared dispatch pool, and funnels replies through a
-per-connection *writer* thread, so a slow dispatch never blocks faster
-replies on the same socket.  The writer coalesces replies that queue up
-while a previous send is on the wire into a single ``sendmsg`` — small
-frames batch naturally under load while a lone reply still goes out
-immediately (``TCP_NODELAY`` stays set).  Push notifications are not
-supported over this transport (``can_push = False``); clients fall back
-to polling, exactly the degraded mode the paper's adaptive protocol
-anticipates.
+The server runs every connection on one asyncio event loop through
+``asyncio.BufferedProtocol`` callbacks, hands each decoded frame to a
+shared dispatch pool, and writes each reply from a loop callback as soon
+as its dispatch finishes, so a slow dispatch never blocks faster replies
+on the same socket.  Large replies go out in slices under the transport's flow
+control, and a peer that stops reading is dropped after a stall timeout.
+Push notifications are not supported over this transport
+(``can_push = False``); clients fall back to polling, exactly the
+degraded mode the paper's adaptive protocol anticipates.
 
 Fault tolerance (see ``docs/ROBUSTNESS.md``):
 
@@ -39,6 +38,7 @@ Fault tolerance (see ``docs/ROBUSTNESS.md``):
 
 from __future__ import annotations
 
+import asyncio
 import logging
 import os
 import queue
@@ -46,6 +46,7 @@ import socket
 import struct
 import threading
 import time
+from collections import deque
 from typing import Iterable, List, Optional, Tuple
 
 from repro.errors import (
@@ -55,7 +56,8 @@ from repro.errors import (
     TransportTimeout,
 )
 from repro.obs.metrics import get_registry
-from repro.transport.base import Channel, Dispatcher, ReplyCache
+from repro.transport.base import Channel, Dispatcher, ReplyCache, request_payload
+from repro.transport.gateway import JSONGateway
 from repro.transport.retry import RetryPolicy
 from repro.wire.messages import ErrorReply, encode_message
 
@@ -66,9 +68,15 @@ _SEQ = struct.Struct(">Q")
 _MAX_FRAME = 1 << 30
 #: a reply payload leads with the echoed (nonce, seq) pair
 _REPLY_HEADER = 2 * _SEQ.size
-#: cap on reply frames coalesced into one sendmsg (keeps the iovec and
-#: the latency of any single batch bounded; well under IOV_MAX)
-_MAX_REPLY_BATCH = 32
+#: length word plus echoed (nonce, seq): everything ahead of a reply
+_REPLY_PREFIX = struct.Struct(">IQQ")
+#: replies up to this size leave in one write; larger ones in slices of
+#: it, so the socket transport never buffers more than about one slice
+_REPLY_SLICE = 256 * 1024
+#: size of the receive buffer the server's connections share
+_RECV_SIZE = 256 * 1024
+#: how often the loop-lag probe samples its own scheduling delay
+_LAG_INTERVAL = 0.1
 
 _HAS_SENDMSG = hasattr(socket.socket, "sendmsg")
 
@@ -93,10 +101,6 @@ def _sendmsg_all(sock: socket.socket, buffers: Iterable[bytes]) -> None:
             views.pop(0)
         if sent:
             views[0] = views[0][sent:]
-
-
-def _send_frame(sock: socket.socket, payload: bytes) -> None:
-    _sendmsg_all(sock, (_LEN.pack(len(payload)), payload))
 
 
 def _recv_exact(sock: socket.socket, size: int) -> Optional[bytes]:
@@ -262,15 +266,14 @@ class TCPChannel(Channel):
         return message
 
     def request(self, data: bytes) -> bytes:
-        if not isinstance(data, (bytes, bytearray)):
-            raise TransportError("channels carry bytes only; serialize the message first")
+        data = request_payload(data)
         with self._lock:
             if self._closed:
                 raise TransportError("channel is closed")
             self._next_seq += 1
             seq = self._next_seq
             buffers = request_frame_buffers(
-                self._client_id, self._nonce, seq, bytes(data))
+                self._client_id, self._nonce, seq, data)
             sent_bytes = sum(len(b) for b in buffers) - _LEN.size
             failures = 0
             while True:
@@ -347,79 +350,18 @@ class TCPChannel(Channel):
         self._break()
 
 
-class RequestFrameCore:
-    """Shared request-frame decode/dispatch core for server transports.
-
-    Both the thread-per-connection server below and the asyncio server
-    (``repro.transport.aio``) speak the identical wire protocol and
-    answer through the same :class:`ReplyCache`; this mixin keeps the
-    header parsing, dedup, and error-answering semantics in one place so
-    the two backends cannot drift.  Subclasses must set
-    ``self._dispatcher`` and ``self.reply_cache`` before calling
-    :meth:`_init_frame_metrics`.
-    """
-
-    def _init_frame_metrics(self) -> None:
-        metrics = get_registry()
-        self._m_connections = metrics.counter(
-            "transport.server.connections", "TCP connections accepted")
-        self._m_open = metrics.gauge(
-            "transport.server.open_connections", "TCP connections currently open")
-        self._m_requests = metrics.counter(
-            "transport.server.requests", "frames dispatched by the TCP server")
-        self._m_bytes_received = metrics.counter(
-            "transport.server.bytes_received", "request frame bytes received")
-        self._m_bytes_sent = metrics.counter(
-            "transport.server.bytes_sent", "reply frame bytes sent")
-        self._m_frame_errors = metrics.counter(
-            "transport.server.frame_errors",
-            "malformed frames answered with ErrorReply")
-        self._m_dispatch_errors = metrics.counter(
-            "transport.server.dispatch_errors",
-            "dispatcher exceptions answered with ErrorReply")
-        self._m_reply_batch = metrics.histogram(
-            "transport.server.reply_batch_frames",
-            help="reply frames coalesced into each sendmsg batch")
-        self._m_reply_queue_wait = metrics.histogram(
-            "transport.server.reply_queue_wait_seconds",
-            help="time replies spent queued behind the per-connection writer")
-
-    def _handle_frame(self, frame: bytes) -> Tuple[int, int, bytes]:
-        """Decode one request frame, dispatch it, return (nonce, seq, reply).
-
-        A malformed header (short client-id prefix, bad UTF-8, missing
-        nonce or sequence number) or a dispatcher exception must not kill
-        the connection: both are answered with an encoded ErrorReply so
-        the client sees a typed failure and the connection survives.  A
-        reply to an unparseable header carries the reserved ``(0, 0)``
-        identity, since the request's own could not be read.
-        """
-        try:
-            (id_length,) = _LEN.unpack_from(frame, 0)
-            header_end = _LEN.size + id_length + 2 * _SEQ.size
-            if header_end > len(frame):
-                raise TransportError(
-                    f"request header claims {id_length} id bytes but the "
-                    f"frame holds {len(frame)}")
-            client_id = frame[_LEN.size:_LEN.size + id_length].decode("utf-8")
-            (nonce,) = _SEQ.unpack_from(frame, _LEN.size + id_length)
-            (seq,) = _SEQ.unpack_from(frame, _LEN.size + id_length + _SEQ.size)
-            payload = frame[header_end:]
-        except (struct.error, UnicodeDecodeError, TransportError) as exc:
-            self._m_frame_errors.inc()
-            return 0, 0, encode_message(ErrorReply(f"malformed request frame: {exc}"))
-        self._m_requests.inc()
-        self._m_bytes_received.inc(len(frame))
-        try:
-            reply = self.reply_cache.execute(
-                client_id, seq,
-                lambda: self._dispatcher.dispatch(client_id, payload),
-                nonce=nonce)
-        except Exception as exc:  # noqa: BLE001 — any dispatcher bug
-            self._m_dispatch_errors.inc()
-            reply = encode_message(ErrorReply(f"request failed: {exc}"))
-        self._m_bytes_sent.inc(len(reply))
-        return nonce, seq, reply
+def _bind(host: str, port: int) -> socket.socket:
+    """A listening socket with a deep backlog (a reconnect storm after a
+    failover arrives faster than the loop accepts)."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    try:
+        sock.bind((host, port))
+        sock.listen(512)
+    except OSError:
+        sock.close()
+        raise
+    return sock
 
 
 class _DispatchPool:
@@ -463,19 +405,210 @@ class _DispatchPool:
             self._queue.put(None)
 
 
-class TCPServerTransport(RequestFrameCore):
+class _Connection(asyncio.BufferedProtocol):
+    """One client connection, driven by event-loop callbacks.
+
+    Receive: the loop reads into the server's shared receive buffer and
+    ``buffer_updated`` copies each complete frame out of it as immutable
+    ``bytes``, so decoders may keep views into a frame.  A frame split
+    across reads is received straight into buffers of its own, allocated
+    as its bytes arrive (never from the length word alone), and joined
+    into ``bytes`` once, when it is complete.  Each frame goes to the
+    dispatch pool; at ``max_inflight`` frames without a written reply,
+    parsing stops and reading pauses until a reply goes out.
+
+    Reply: a reply of up to :data:`_REPLY_SLICE` bytes leaves in one
+    ``write`` together with its header.  A larger one is written in
+    slices of that size, the next slice only while the socket transport
+    accepts more (``pause_writing``/``resume_writing``), so at most one
+    slice is ever copied into the transport's buffer.  A peer that keeps
+    writing paused for ``write_stall_timeout`` is dropped.
+    """
+
+    def __init__(self, server: "TCPServerTransport"):
+        self._server = server
+        self.transport: Optional[asyncio.Transport] = None
+        #: the start of a length word split across reads
+        self._head = b""
+        #: the pieces of a frame split across reads (the last one is being
+        #: filled: ``_have`` bytes so far), and the frame bytes still due
+        self._parts: List[bytearray] = []
+        self._have = 0
+        self._left = 0
+        #: received bytes left unparsed while at the in-flight cap
+        self._backlog: Optional[bytes] = None
+        #: frames dispatched whose reply has not been written yet
+        self._inflight = 0
+        self._reading = True
+        self._writable = True
+        #: reply buffers waiting for the transport; ``None`` ends a frame
+        self._pending: "deque" = deque()
+        self._stall: Optional[asyncio.TimerHandle] = None
+        self.closed = False
+
+    # -- asyncio.Protocol callbacks -----------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        sock = transport.get_extra_info("socket")
+        if sock is not None:
+            try:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                # accepted sockets must carry SO_REUSEADDR themselves, or
+                # their TIME_WAIT remnants block a restarted transport
+                # from rebinding the port while old clients are attached
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            except OSError:
+                pass
+        self._server._attach(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.closed = True
+        if self._stall is not None:
+            self._stall.cancel()
+            self._stall = None
+        self._pending.clear()
+        self._parts = []
+        self._backlog = None
+        self._server._detach(self)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        if self._parts:
+            return memoryview(self._parts[-1])[self._have:]
+        return self._server._recv_buf
+
+    def buffer_updated(self, nbytes: int) -> None:
+        if not self._parts:
+            self._feed(self._server._recv_buf[:nbytes])
+            return
+        self._have += nbytes
+        self._left -= nbytes
+        if not self._left:
+            frame = b"".join(self._parts)
+            self._parts = []
+            self._dispatch(frame)
+        elif self._have == len(self._parts[-1]):
+            self._parts.append(bytearray(min(self._left, _RECV_SIZE)))
+            self._have = 0
+
+    def pause_writing(self) -> None:
+        self._writable = False
+        self._stall = self._server._loop.call_later(
+            self._server._write_stall_timeout, self._drop_slow)
+
+    def resume_writing(self) -> None:
+        self._writable = True
+        if self._stall is not None:
+            self._stall.cancel()
+            self._stall = None
+        self._flush()
+
+    # -- receive path -------------------------------------------------------
+
+    def _feed(self, data: memoryview) -> None:
+        """Dispatch the complete frames in ``data``; keep a split tail."""
+        offset, end = 0, len(data)
+        while offset < end and not self.closed:
+            if self._inflight >= self._server._max_inflight:
+                self._backlog = data[offset:].tobytes()
+                if self._reading:
+                    self._reading = False
+                    self.transport.pause_reading()
+                return
+            if self._head or end - offset < _LEN.size:
+                taken = data[offset:offset + _LEN.size - len(self._head)]
+                self._head += taken.tobytes()
+                offset += len(taken)
+                if len(self._head) < _LEN.size:
+                    return
+                (length,) = _LEN.unpack(self._head)
+                self._head = b""
+            else:
+                (length,) = _LEN.unpack_from(data, offset)
+                offset += _LEN.size
+            if length > _MAX_FRAME:
+                self.abort()  # framing is lost: drop the link
+                return
+            if end - offset >= length:
+                self._dispatch(data[offset:offset + length].tobytes())
+                offset += length
+            else:
+                self._left = length - (end - offset)
+                self._parts = [bytearray(data[offset:]),
+                               bytearray(min(self._left, _RECV_SIZE))]
+                self._have = 0
+                return
+
+    def _dispatch(self, frame: bytes) -> None:
+        self._inflight += 1
+        self._server._submit(self, frame)
+
+    def _release_slot(self) -> None:
+        """A reply went out: parse what waited on the cap, resume reading."""
+        self._inflight -= 1
+        if self._backlog is not None:
+            backlog, self._backlog = self._backlog, None
+            self._feed(memoryview(backlog))
+        if self._backlog is None and not self._reading and not self.closed:
+            self._reading = True
+            self.transport.resume_reading()
+
+    # -- reply path ---------------------------------------------------------
+
+    def send_reply(self, nonce: int, seq: int, reply: bytes) -> None:
+        """Loop callback: frame one reply and hand it to the transport."""
+        if self.closed:
+            return  # the client is gone; the reply stays in the cache
+        head = _REPLY_PREFIX.pack(_REPLY_HEADER + len(reply), nonce, seq)
+        if self._writable and not self._pending and len(reply) <= _REPLY_SLICE:
+            self.transport.write(head + reply)
+            self._release_slot()
+            return
+        self._pending.extend((head, memoryview(reply), None))
+        self._flush()
+
+    def _flush(self) -> None:
+        pending = self._pending
+        while pending and self._writable and not self.closed:
+            buf = pending.popleft()
+            if buf is None:
+                self._release_slot()
+            elif len(buf) > _REPLY_SLICE:
+                pending.appendleft(buf[_REPLY_SLICE:])
+                self.transport.write(buf[:_REPLY_SLICE])
+            else:
+                self.transport.write(buf)
+
+    def _drop_slow(self) -> None:
+        self._stall = None
+        if not self.closed:
+            self._server._m_slow_drops.inc()
+            self.abort()
+
+    def abort(self) -> None:
+        """Drop the connection now, discarding unsent replies; replies
+        that finish later are not written."""
+        self.closed = True
+        self.transport.abort()
+
+
+class TCPServerTransport:
     """Accepts connections and feeds requests to a :class:`Dispatcher`.
 
-    One *reader* thread per connection decodes frames and submits them
-    to a shared dispatch pool, so requests from one connection — a
-    pipelined client has many in flight — dispatch concurrently, relying
-    on the Dispatcher thread-safety contract.  Replies funnel through a
-    per-connection *writer* thread: a slow dispatch never blocks faster
-    replies on the same socket, and replies that queue up while a send
-    is on the wire coalesce into one ``sendmsg`` batch.  Retried
-    sequence numbers stay idempotent through the :class:`ReplyCache`,
-    which also makes a duplicate racing its original dispatch wait and
-    share the reply instead of re-dispatching.
+    One asyncio event loop, in a daemon thread, serves every connection
+    through :class:`_Connection` callbacks; dispatches run on a shared
+    FIFO pool of worker threads (the Dispatcher contract permits
+    concurrent dispatch), and each reply is marshalled back onto the
+    loop with ``call_soon_threadsafe``.  Retried sequence numbers stay
+    idempotent through the :class:`ReplyCache`, which also makes a
+    duplicate racing its original dispatch wait and share the reply.
+
+    The constructor binds the listening socket synchronously, so
+    ``host``/``port`` are known at once (``port=0`` picks a free one).
+    ``close()`` releases the port before it returns and waits a bounded
+    time for in-flight dispatches to finish.  ``gateway_port`` (``None``
+    = disabled, ``0`` = ephemeral) also mounts the HTTP/1.1 JSON gateway
+    (:mod:`repro.transport.gateway`) on the same loop.
 
     A shared :class:`ReplyCache` may be passed in so a restarted
     transport keeps deduplicating retries that straddle the restart;
@@ -484,178 +617,279 @@ class TCPServerTransport(RequestFrameCore):
 
     def __init__(self, dispatcher: Dispatcher, host: str = "127.0.0.1",
                  port: int = 0, reply_cache: Optional[ReplyCache] = None,
-                 dispatch_workers: int = 8, max_inflight: int = 64):
+                 dispatch_workers: int = 8, max_inflight: int = 64,
+                 write_stall_timeout: float = 5.0,
+                 gateway_port: Optional[int] = None):
         self._dispatcher = dispatcher
         self.reply_cache = reply_cache if reply_cache is not None else ReplyCache()
         self._max_inflight = max_inflight
+        self._write_stall_timeout = write_stall_timeout
         self._init_frame_metrics()
+        metrics = get_registry()
+        self._m_conn_gauge = metrics.gauge(
+            "server.connections",
+            "connections currently attached to the server's event loop")
+        self._m_loop_lag = metrics.histogram(
+            "server.loop_lag_seconds",
+            help="event-loop scheduling delay sampled by a periodic probe")
+        self._m_slow_drops = metrics.counter(
+            "transport.server.slow_reader_drops",
+            "connections dropped because the peer stopped reading replies")
         self._pool = _DispatchPool(dispatch_workers)
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        # deep backlog: a reconnect storm after a failover (or the
-        # connection-scale bench) arrives faster than threads spawn
-        self._listener.listen(512)
-        self.host, self.port = self._listener.getsockname()
+        #: every connection reads into this one buffer: the loop thread
+        #: copies each frame out before it reads the next socket
+        self._recv_buf = memoryview(bytearray(_RECV_SIZE))
+        #: dispatches submitted and not yet finished; close() waits on it
+        self._dispatching = 0
+        self._dispatch_done = threading.Condition()
+        self._listen_sock = _bind(host, port)
+        self.host, self.port = self._listen_sock.getsockname()
+        self.gateway_host: Optional[str] = None
+        self.gateway_port: Optional[int] = None
+        self._gw_sock: Optional[socket.socket] = None
+        self._gateway: Optional[JSONGateway] = None
+        if gateway_port is not None:
+            self._gw_sock = _bind(host, gateway_port)
+            self.gateway_host, self.gateway_port = self._gw_sock.getsockname()
+            self._gateway = JSONGateway(dispatcher, self._run_on_pool,
+                                        write_stall_timeout)
         self._running = True
-        self._threads = []
-        self._conn_lock = threading.Lock()
-        self._conns = set()
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
-
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                return
-            with self._conn_lock:
-                if not self._running:
-                    try:
-                        conn.close()
-                    except OSError:
-                        pass
-                    return
-                self._conns.add(conn)
-                self._m_open.set(len(self._conns))
-            thread = threading.Thread(target=self._serve, args=(conn,), daemon=True)
-            with self._conn_lock:
-                self._threads.append(thread)
-            thread.start()
-
-    def _serve(self, conn: socket.socket) -> None:
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # accepted sockets must carry SO_REUSEADDR themselves, or their
-        # FIN_WAIT/TIME_WAIT remnants block a restarted transport from
-        # rebinding the port while old clients are still attached
-        conn.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._m_connections.inc()
-        out_queue: "queue.Queue" = queue.Queue()
-        writer = threading.Thread(
-            target=self._write_loop, args=(conn, out_queue), daemon=True)
-        writer.start()
-        # bounds dispatches in flight for this connection: a client that
-        # floods frames faster than the dispatcher drains them stalls in
-        # the kernel send buffer instead of growing the queue unboundedly
-        inflight = threading.BoundedSemaphore(self._max_inflight)
+        self._conns: "set[_Connection]" = set()
+        self._servers: List[asyncio.AbstractServer] = []
+        self._lag_task: Optional[asyncio.Task] = None
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self._run_loop, name="repro-server-loop", daemon=True)
+        self._thread.start()
         try:
-            while self._running:
-                try:
-                    frame = _recv_frame(conn)
-                except TransportError:
-                    return  # oversized frame: framing is lost, drop the link
-                if frame is None:
-                    return
-                while not inflight.acquire(timeout=0.1):
-                    if not self._running:
-                        return
-                self._pool.submit(
-                    lambda f=frame: self._dispatch_to_queue(f, out_queue, inflight))
-        except OSError:
-            return
-        finally:
-            # replies still in flight when the reader exits are for a
-            # client that is gone (or a transport shutting down): the
-            # sentinel lets the writer drain what is already queued,
-            # then closing the socket unblocks it if the peer stalled
-            out_queue.put(None)
-            writer.join(timeout=5.0)
-            with self._conn_lock:
-                self._conns.discard(conn)
-                self._m_open.set(len(self._conns))
-                # reap this connection's thread record as the connection
-                # closes: a burst-then-idle workload must not pin the
-                # peak thread-object list until the next accept
-                try:
-                    self._threads.remove(threading.current_thread())
-                except ValueError:
-                    pass  # already reaped by close()
-            try:
-                conn.close()
-            except OSError:
-                pass
+            asyncio.run_coroutine_threadsafe(
+                self._start(), self._loop).result(timeout=10.0)
+        except Exception:
+            self.close()
+            raise
 
-    def _dispatch_to_queue(self, frame: bytes, out_queue: "queue.Queue",
-                           inflight: threading.BoundedSemaphore) -> None:
-        """Pool task: dispatch one frame and queue its reply."""
+    def _init_frame_metrics(self) -> None:
+        metrics = get_registry()
+        self._m_connections = metrics.counter(
+            "transport.server.connections", "TCP connections accepted")
+        self._m_open = metrics.gauge(
+            "transport.server.open_connections", "TCP connections currently open")
+        self._m_requests = metrics.counter(
+            "transport.server.requests", "frames dispatched by the TCP server")
+        self._m_bytes_received = metrics.counter(
+            "transport.server.bytes_received", "request frame bytes received")
+        self._m_bytes_sent = metrics.counter(
+            "transport.server.bytes_sent", "reply frame bytes sent")
+        self._m_frame_errors = metrics.counter(
+            "transport.server.frame_errors",
+            "malformed frames answered with ErrorReply")
+        self._m_dispatch_errors = metrics.counter(
+            "transport.server.dispatch_errors",
+            "dispatcher exceptions answered with ErrorReply")
+
+    # -- event loop lifecycle -------------------------------------------------
+
+    def _run_loop(self) -> None:
+        asyncio.set_event_loop(self._loop)
+        try:
+            self._loop.run_forever()
+        finally:
+            try:
+                tasks = asyncio.all_tasks(self._loop)
+                for task in tasks:
+                    task.cancel()
+                if tasks:
+                    self._loop.run_until_complete(
+                        asyncio.gather(*tasks, return_exceptions=True))
+                self._loop.run_until_complete(self._loop.shutdown_asyncgens())
+            finally:
+                self._loop.close()
+
+    async def _start(self) -> None:
+        self._servers.append(await self._loop.create_server(
+            lambda: _Connection(self), sock=self._listen_sock))
+        if self._gateway is not None:
+            self._servers.append(await asyncio.start_server(
+                self._gateway.serve, sock=self._gw_sock))
+        self._lag_task = self._loop.create_task(self._lag_monitor())
+
+    async def _lag_monitor(self) -> None:
+        """Sample how late the loop wakes from a fixed-interval sleep.
+
+        The delay beyond the requested interval is exactly the time the
+        loop spent unable to schedule new work — the single number that
+        tells an operator the loop (not the dispatch pool) is the
+        bottleneck.
+        """
+        while self._running:
+            target = self._loop.time() + _LAG_INTERVAL
+            await asyncio.sleep(_LAG_INTERVAL)
+            self._m_loop_lag.observe(max(0.0, self._loop.time() - target))
+
+    # -- connections and dispatch (loop thread unless noted) ------------------
+
+    def _attach(self, conn: _Connection) -> None:
+        if not self._running:
+            conn.abort()
+            return
+        self._conns.add(conn)
+        self._m_connections.inc()
+        self._count_connections()
+
+    def _detach(self, conn: _Connection) -> None:
+        self._conns.discard(conn)
+        self._count_connections()
+
+    def _count_connections(self) -> None:
+        self._m_open.set(len(self._conns))
+        self._m_conn_gauge.set(len(self._conns))
+
+    def _submit(self, conn: _Connection, frame: bytes) -> None:
+        with self._dispatch_done:
+            self._dispatching += 1
+        self._pool.submit(lambda: self._dispatch(conn, frame))
+
+    def _dispatch(self, conn: _Connection, frame: bytes) -> None:
+        """Pool task (dispatch thread): handle one frame, marshal the
+        reply back onto the event loop."""
         try:
             nonce, seq, reply = self._handle_frame(frame)
-            out_queue.put((nonce, seq, reply, time.perf_counter()))
-        finally:
-            inflight.release()
-
-    def _write_loop(self, conn: socket.socket, out_queue: "queue.Queue") -> None:
-        """Per-connection writer: drain replies, batching opportunistically.
-
-        Blocks for the first reply, then drains whatever else queued up
-        (bounded by ``_MAX_REPLY_BATCH``) into one gathered ``sendmsg``.
-        The "flush window" is thus the duration of the previous send: a
-        lone reply goes out immediately with no added latency, while a
-        backlog amortizes syscalls and wakeups.  Exits on the ``None``
-        sentinel (after flushing replies queued ahead of it) or on a
-        dead socket.
-        """
-        while True:
-            item = out_queue.get()
-            if item is None:
-                return
-            batch = [item]
-            finished = False
-            while len(batch) < _MAX_REPLY_BATCH:
-                try:
-                    nxt = out_queue.get_nowait()
-                except queue.Empty:
-                    break
-                if nxt is None:
-                    finished = True
-                    break
-                batch.append(nxt)
-            now = time.perf_counter()
-            buffers = []
-            for nonce, seq, reply, enqueued in batch:
-                self._m_reply_queue_wait.observe(now - enqueued)
-                buffers.append(_LEN.pack(_REPLY_HEADER + len(reply)))
-                buffers.append(_SEQ.pack(nonce))
-                buffers.append(_SEQ.pack(seq))
-                buffers.append(reply)
-            self._m_reply_batch.observe(len(batch))
             try:
-                _sendmsg_all(conn, buffers)
-            except OSError:
+                self._loop.call_soon_threadsafe(conn.send_reply, nonce, seq, reply)
+            except RuntimeError:
+                pass  # loop already closed; the reply is in the cache
+        finally:
+            with self._dispatch_done:
+                self._dispatching -= 1
+                if not self._dispatching:
+                    self._dispatch_done.notify_all()
+
+    def _handle_frame(self, frame: bytes) -> Tuple[int, int, bytes]:
+        """Decode one request frame, dispatch it, return (nonce, seq, reply).
+
+        The dispatcher gets the request body as a read-only
+        ``memoryview`` over the frame, not a copy.  A malformed header
+        (short client-id prefix, bad UTF-8, missing nonce or sequence
+        number) or a dispatcher exception must not kill the connection:
+        both are answered with an encoded ErrorReply so the client sees a
+        typed failure and the connection survives.  A reply to an
+        unparseable header carries the reserved ``(0, 0)`` identity,
+        since the request's own could not be read.
+        """
+        try:
+            (id_length,) = _LEN.unpack_from(frame, 0)
+            header_end = _LEN.size + id_length + 2 * _SEQ.size
+            if header_end > len(frame):
+                raise TransportError(
+                    f"request header claims {id_length} id bytes but the "
+                    f"frame holds {len(frame)}")
+            client_id = frame[_LEN.size:_LEN.size + id_length].decode("utf-8")
+            (nonce,) = _SEQ.unpack_from(frame, _LEN.size + id_length)
+            (seq,) = _SEQ.unpack_from(frame, _LEN.size + id_length + _SEQ.size)
+            payload = memoryview(frame)[header_end:]
+        except (struct.error, UnicodeDecodeError, TransportError) as exc:
+            self._m_frame_errors.inc()
+            return 0, 0, encode_message(ErrorReply(f"malformed request frame: {exc}"))
+        self._m_requests.inc()
+        self._m_bytes_received.inc(len(frame))
+        try:
+            reply = self.reply_cache.execute(
+                client_id, seq,
+                lambda: self._dispatcher.dispatch(client_id, payload),
+                nonce=nonce)
+        except Exception as exc:  # noqa: BLE001 — any dispatcher bug
+            self._m_dispatch_errors.inc()
+            reply = encode_message(ErrorReply(f"request failed: {exc}"))
+        self._m_bytes_sent.inc(len(reply))
+        return nonce, seq, reply
+
+    async def _run_on_pool(self, func):
+        """Run blocking work on the dispatch pool, await the result.
+
+        The pool's daemon FIFO workers are reused instead of a
+        ``ThreadPoolExecutor`` so a wedged handler can never block
+        interpreter exit (executor threads are joined at shutdown)."""
+        future = self._loop.create_future()
+
+        def resolve(result, error) -> None:
+            if future.done():
                 return
-            if finished:
-                return
+            if error is not None:
+                future.set_exception(error)
+            else:
+                future.set_result(result)
+
+        def task():
+            try:
+                result = func()
+            except BaseException as exc:  # noqa: BLE001 — marshal, don't lose
+                self._loop.call_soon_threadsafe(resolve, None, exc)
+            else:
+                self._loop.call_soon_threadsafe(resolve, result, None)
+
+        self._pool.submit(task)
+        return await future
+
+    # -- introspection (tests, stats) -----------------------------------------
+
+    def connection_count(self) -> int:
+        """Connections currently attached (binary protocol only)."""
+        return len(self._conns)
+
+    def task_count(self) -> int:
+        """Tasks alive on the loop (lag probe, gateway connections)."""
+        if not self._loop.is_running():
+            return 0
+        future = asyncio.run_coroutine_threadsafe(self._count_tasks(), self._loop)
+        return future.result(timeout=5.0)
+
+    async def _count_tasks(self) -> int:
+        return len(asyncio.all_tasks(self._loop))
+
+    # -- shutdown -------------------------------------------------------------
+
+    async def _shutdown(self) -> None:
+        for server in self._servers:
+            server.close()
+        if self._lag_task is not None:
+            self._lag_task.cancel()
+        # force connections closed rather than waiting for replies to
+        # clients that will never be answered
+        for conn in list(self._conns):
+            conn.abort()
+        if self._gateway is not None:
+            self._gateway.abort_all()
+        await asyncio.sleep(0)  # let the aborted transports close their sockets
+        for server in self._servers:
+            try:
+                await asyncio.wait_for(server.wait_closed(), timeout=1.0)
+            except asyncio.TimeoutError:
+                pass
 
     def close(self) -> None:
         self._running = False
-        # shutdown() wakes the thread blocked in accept(); close() alone
-        # leaves the in-flight syscall holding the listening socket open,
-        # which keeps the port bound after this method returns
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        with self._conn_lock:
-            conns = list(self._conns)
-            self._conns.clear()
-            self._m_open.set(0)
-        for conn in conns:
+        if self._loop.is_running():
             try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
+                asyncio.run_coroutine_threadsafe(
+                    self._shutdown(), self._loop).result(timeout=10.0)
+            except Exception:
                 pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._accept_thread.join(timeout=1.0)
-        with self._conn_lock:
-            threads, self._threads = self._threads, []
-        for thread in threads:
-            thread.join(timeout=1.0)
+            self._loop.call_soon_threadsafe(self._loop.stop)
+        # drain in-flight dispatches, bounded: a handler wedged past the
+        # timeout must not block shutdown or interpreter exit
+        with self._dispatch_done:
+            self._dispatch_done.wait_for(lambda: not self._dispatching,
+                                         timeout=1.0)
+        self._thread.join(timeout=5.0)
+        # if the loop wedged before closing its servers, closing the raw
+        # sockets here still releases the ports synchronously
+        # (socket.close() is idempotent)
+        for sock in (self._listen_sock, self._gw_sock):
+            if sock is not None:
+                try:
+                    sock.close()
+                except OSError:
+                    pass
+        self._conns.clear()
+        self._count_connections()
         self._pool.close()

@@ -1,5 +1,9 @@
 """Shared test helpers: hypothesis strategies for types and fixture types."""
 
+import importlib.util
+import os
+import sys
+
 from hypothesis import strategies as st
 
 from repro.types import (
@@ -18,8 +22,10 @@ from repro.types import (
 
 _PRIMS = [CHAR, SHORT, INT, HYPER, FLOAT, DOUBLE]
 
-#: both TCP server backends — test suites covering the TCP surface
-#: parametrize over these so the asyncio core inherits the full matrix
+#: the TCP server core ("asyncio") and the thread-per-connection
+#: baseline the connection-scale bench measures it against ("threads",
+#: ``benchmarks/threaded_core.py``): the TCP suites run against both, so
+#: the baseline keeps speaking the core's exact protocol
 SERVER_BACKENDS = ("threads", "asyncio")
 
 
@@ -29,11 +35,24 @@ def make_server_transport(backend, dispatcher, **kwargs):
     Both classes share one wire protocol and constructor surface, so a
     test written against one runs unchanged against the other.
     """
-    from repro.transport import AsyncTCPServerTransport, TCPServerTransport
+    if backend == "asyncio":
+        from repro.transport import TCPServerTransport
 
-    cls = {"threads": TCPServerTransport,
-           "asyncio": AsyncTCPServerTransport}[backend]
-    return cls(dispatcher, **kwargs)
+        return TCPServerTransport(dispatcher, **kwargs)
+    return _threaded_core().ThreadedTCPServerTransport(dispatcher, **kwargs)
+
+
+def _threaded_core():
+    name = "threaded_core"
+    if name not in sys.modules:
+        path = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "benchmarks", "threaded_core.py")
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
+
 
 _counter = [0]
 

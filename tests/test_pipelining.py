@@ -51,7 +51,7 @@ class SlowFastServer(Dispatcher):
         self.release.set()
 
     def dispatch(self, client_id, data):
-        if data.startswith(b"slow"):
+        if data[:4] == b"slow":
             self.release.wait(timeout=5.0)
             time.sleep(self.delay)
         return b"echo:" + data

@@ -507,6 +507,43 @@ class TestRetryDedup:
 # ---------------------------------------------------------------------------
 
 class TestTCPTopology:
+    def test_write_forwarded_over_serial_channel_commits(self):
+        """The relay forwards the request body it received (a view into
+        the TCP frame) through a plain TCPChannel; the write commits at
+        the origin."""
+        origin = InterWeaveServer("h", metrics=MetricsRegistry())
+        origin_transport = TCPServerTransport(origin)
+        proxy = CachingProxy(
+            "h", metrics=MetricsRegistry(),
+            connector=lambda server, client_id: TCPChannel(
+                "127.0.0.1", origin_transport.port, client_id, timeout=10.0))
+        proxy_transport = TCPServerTransport(proxy)
+        writer = InterWeaveClient(
+            "w", X86_32,
+            lambda server, client_id: TCPChannel(
+                "127.0.0.1", proxy_transport.port, client_id, timeout=10.0),
+            options=ClientOptions(enable_notifications=False))
+        checker = InterWeaveClient(
+            "check", X86_32,
+            lambda server, client_id: TCPChannel(
+                "127.0.0.1", origin_transport.port, client_id, timeout=10.0),
+            options=ClientOptions(enable_notifications=False))
+        try:
+            seg = writer.open_segment("h/fwd")
+            writer.wl_acquire(seg)
+            writer.malloc(seg, INT, name="v").set(41)
+            writer.wl_release(seg)
+            write_value(writer, seg, 42)
+            seg_c = checker.open_segment("h/fwd", create=False)
+            assert read_value(checker, seg_c) == 42
+            assert origin.segments["h/fwd"].state.version == 2
+        finally:
+            writer.close()
+            checker.close()
+            proxy_transport.close()
+            proxy.close()
+            origin_transport.close()
+
     def test_end_to_end_over_sockets(self):
         origin = InterWeaveServer("h", metrics=MetricsRegistry())
         origin_transport = TCPServerTransport(origin)

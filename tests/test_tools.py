@@ -1,7 +1,14 @@
 """Tests for the command-line tools."""
 
 import io
+import json
+import os
+import re
+import signal
+import subprocess
+import sys
 import threading
+import urllib.request
 
 import pytest
 
@@ -53,6 +60,73 @@ class TestServerTool:
         args = build_parser().parse_args([])
         assert args.host == "127.0.0.1"
         assert args.checkpoint_every == 16
+
+
+def _run_tool(*args, **kwargs):
+    """Start ``python -m repro.tools.<tool>`` in a subprocess."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.Popen([sys.executable, "-m", *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, **kwargs)
+
+
+class TestServerProcess:
+    """The server entry point as an operator runs it: a subprocess."""
+
+    def test_gateway_and_binary_protocol_on_one_server(self):
+        from repro.wire.messages import (
+            GetStatsReply,
+            GetStatsRequest,
+            decode_message,
+            encode_message,
+        )
+
+        proc = _run_tool("repro.tools.server_main", "--name", "cli",
+                         "--port", "0", "--gateway-port", "0")
+        try:
+            banner = proc.stdout.readline()
+            match = re.search(r"listening on [^:]+:(\d+) .*gateway at "
+                              r"http://[^:]+:(\d+)", banner)
+            assert match, banner
+            port, gateway_port = int(match.group(1)), int(match.group(2))
+            channel = TCPChannel("127.0.0.1", port, "cli-test")
+            try:
+                reply = decode_message(channel.request(
+                    encode_message(GetStatsRequest("cli-test"))))
+            finally:
+                channel.close()
+            assert isinstance(reply, GetStatsReply)
+            assert json.loads(reply.payload)["server"]["name"] == "cli"
+            with urllib.request.urlopen(
+                    f"http://127.0.0.1:{gateway_port}/stats",
+                    timeout=10.0) as response:
+                assert response.status == 200
+                assert json.loads(response.read())["server"]["name"] == "cli"
+        finally:
+            proc.send_signal(signal.SIGINT)
+            try:
+                proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+        assert proc.returncode == 0
+
+    def test_removed_io_flag_is_refused(self):
+        proc = _run_tool("repro.tools.server_main", "--port", "0",
+                         "--io", "threads")
+        try:
+            _out, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 2
+        assert err.startswith("usage:")
+        assert "unrecognized arguments: --io" in err
 
 
 class TestProxyTool:

@@ -11,12 +11,10 @@ from tests._support import SERVER_BACKENDS, make_server_transport
 
 from repro.errors import TransportError, TransportTimeout
 from repro.transport import (
-    AsyncTCPServerTransport,
     Dispatcher,
     InProcHub,
     NetworkModel,
     TCPChannel,
-    TCPServerTransport,
 )
 from repro.util.clock import VirtualClock
 from repro.wire.messages import ErrorReply, decode_message
@@ -356,9 +354,10 @@ class TestTCPFaultPaths:
                 channel.close()
 
     def test_connection_close_reaps_serve_thread(self):
-        """A burst of connections that then close must not pin thread
-        records until the next accept (reap-on-close, not on-accept)."""
-        transport = TCPServerTransport(EchoServer())
+        """A burst of connections that then close must not pin the
+        threaded baseline's thread records until the next accept
+        (reap-on-close, not on-accept)."""
+        transport = make_server_transport("threads", EchoServer())
         try:
             channels = [TCPChannel("127.0.0.1", transport.port, f"c{i}")
                         for i in range(8)]
