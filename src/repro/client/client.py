@@ -227,6 +227,10 @@ class InterWeaveClient:
         self._api_lock = threading.RLock()
         self.memory = AddressSpace(metrics=self.metrics)
         self.memory.fault_handler = self._on_write_fault
+        #: twin buffers of the last write session, by size, that the next
+        #: session's write faults copy into: a warm buffer spares an
+        #: MB-scale twin the first-touch cost of fresh memory
+        self._spare_twins: Dict[int, List[bytearray]] = {}
         self.heap_root = Heap(self.memory)
         self.segments: Dict[str, Segment] = {}
         self._channels: Dict[str, Channel] = {}
@@ -683,17 +687,35 @@ class InterWeaveClient:
         segment.nodiff.enabled = self.options.enable_nodiff
         segment.session_diffed = segment.nodiff.use_diffing_next()
         if segment.session_diffed:
+            self._clear_pagemaps(segment)
             for subsegment in segment.heap.subsegments:
-                subsegment.pagemap.clear()
                 self.memory.protect_range(subsegment.base, subsegment.size)
 
     def _end_write_session(self, segment: Segment) -> None:
+        self._clear_pagemaps(segment)
         for subsegment in segment.heap.subsegments:
-            subsegment.pagemap.clear()
             self.memory.unprotect_range(subsegment.base, subsegment.size)
 
-    def _on_write_fault(self, space: AddressSpace, page_number: int) -> bool:
-        """The library's SIGSEGV handler: twin the page, re-enable writes."""
+    def _clear_pagemaps(self, segment: Segment) -> None:
+        """Empty the segment's pagemaps; their twin buffers become the
+        spares, so spare memory never exceeds one session's twins."""
+        spares: Dict[int, List[bytearray]] = {}
+        for subsegment in segment.heap.subsegments:
+            for twin in subsegment.pagemap.values():
+                spares.setdefault(len(twin), []).append(twin)
+            subsegment.pagemap.clear()
+        if spares:
+            self._spare_twins = spares
+
+    def _on_write_fault(self, space: AddressSpace, page_number: int,
+                        count: int) -> bool:
+        """The library's SIGSEGV handler, for a run of ``count`` protected
+        pages: twin the run with one copy, re-enable writes.
+
+        A run lies in one mapping, so in one subsegment.  Pages are
+        protected only right after their subsegment's pagemap was
+        cleared, so a protected page never has a twin yet.
+        """
         address = page_number * space.page_size
         subsegment = self.heap_root.find_subsegment(address)
         if subsegment is None:
@@ -702,11 +724,15 @@ class InterWeaveClient:
         if segment is None or segment.lock_mode != LOCK_WRITE:
             return False  # writing shared data without a write lock
         page_index = subsegment.page_index(address)
-        if page_index not in subsegment.pagemap:
-            subsegment.pagemap[page_index] = space.snapshot_page(page_number)
-            self.stats.twins_created += 1
-            self._m_twins.inc()
-        space.unprotect_page(page_number)
+        try:  # one atomic pop: faults on other segments may race it
+            spare = self._spare_twins[count * space.page_size].pop()
+        except (KeyError, IndexError):
+            spare = None
+        subsegment.pagemap[page_index] = space.snapshot_page(
+            page_number, count, spare)
+        self.stats.twins_created += count
+        self._m_twins.inc(count)
+        space.unprotect_page(page_number, count)
         return True
 
     # ------------------------------------------------------------------

@@ -5,9 +5,9 @@ and converts them to machine-independent wire format.  The pipeline, per
 Section 3.1 of the paper:
 
 1. **word diffing** — scan the segment's subsegments and each subsegment's
-   pagemap; for every twinned page, compare the current page against its
-   twin word by word, yielding runs of contiguous modified words
-   (``change_begin`` .. ``change_end``);
+   pagemap; for every twin run (the pages one write fault copied),
+   compare the current pages against the twin word by word, yielding runs
+   of contiguous modified words (``change_begin`` .. ``change_end``);
 2. **run splicing** — if one or two unchanged words separate two modified
    runs, treat the whole stretch as changed: a run header already costs
    two words, and the spliced run is faster to apply;
@@ -48,11 +48,14 @@ def word_diff_arrays(memory: AddressSpace, subsegment: SubSegment,
                      word_size: int, max_gap: int = 0):
     """Changed word runs vs. the twins, as numpy arrays (starts, ends).
 
-    Offsets are subsegment-relative, in words.  All twinned pages are
-    compared against their twins in one stacked compare, and the changed
-    words are split into runs in one pass.  Splicing happens *during* the
-    scan, as in the C implementation: two changed words separated by at
-    most ``max_gap`` unchanged ones stay in one run, so a change pattern
+    Offsets are subsegment-relative, in words.  Each twin run is compared
+    against the pages it copied in one zero-copy compare (a store that
+    faults a range of pages leaves one run, so the common case is one
+    compare for the whole subsegment), and the changed words of all runs,
+    in address order, are split into runs in one pass.  Splicing happens
+    *during* the scan, as in the C implementation: two changed words
+    separated by at most ``max_gap`` unchanged ones stay in one run —
+    across the seam of two adjacent twin runs too — so a change pattern
     like every-other-word (one word of every double) never materializes
     thousands of one-word runs.  Untwinned pages hold no changes, and a
     whole page is a wider gap than any splice, so runs never bridge them.
@@ -62,21 +65,18 @@ def word_diff_arrays(memory: AddressSpace, subsegment: SubSegment,
         return empty, empty
     page_words = subsegment.page_size // word_size
     dtype = np.uint32 if word_size == 4 else np.uint64
-    pages = np.array(sorted(subsegment.pagemap), dtype=np.int64)
-    current = memory.view(subsegment.base, subsegment.size).view(dtype).reshape(
-        subsegment.num_pages, page_words)
-    if pages[-1] - pages[0] + 1 == pages.size:
-        current = current[pages[0]:pages[-1] + 1]  # one span: no copy
-    else:
-        current = current[pages]
-    twins = np.frombuffer(
-        b"".join([subsegment.pagemap[page] for page in pages.tolist()]),
-        dtype=dtype).reshape(pages.size, page_words)
-    changed = np.flatnonzero(current != twins)
-    if changed.size == 0:
+    current = memory.view(subsegment.base, subsegment.size).view(dtype)
+    pieces = []
+    for first, twin in sorted(subsegment.pagemap.items()):
+        twin = np.frombuffer(twin, dtype=dtype)
+        lo = first * page_words
+        changed = np.flatnonzero(current[lo:lo + twin.size] != twin)
+        if changed.size:
+            changed += lo
+            pieces.append(changed)
+    if not pieces:
         return empty, empty
-    # stacked (twinned page, word) position -> subsegment word offset
-    changed = pages[changed // page_words] * page_words + changed % page_words
+    changed = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
     # a gap of g unchanged words shows as an index delta of g+1
     breaks = np.flatnonzero(np.diff(changed) > max_gap + 1)
     starts = changed[np.concatenate(([0], breaks + 1))]

@@ -10,7 +10,7 @@ The machinery is exactly the machinery modification tracking already
 pays for:
 
 - the twins created on write faults are pristine pre-transaction page
-  images, so rollback is "copy every twin back over its page";
+  images, so rollback is "copy every twin run back over its pages";
 - blocks created inside the transaction are simply freed;
 - frees requested inside the transaction are *deferred* (the block is
   hidden from lookups but its storage and metadata survive) and only
@@ -50,8 +50,8 @@ def begin(client, segment) -> None:
         # transactions need twins for rollback: force this session (and
         # only this session) back into diffing mode
         segment.session_diffed = True
+        client._clear_pagemaps(segment)
         for subsegment in segment.heap.subsegments:
-            subsegment.pagemap.clear()
             client.memory.protect_range(subsegment.base, subsegment.size)
     segment.transaction = TransactionState()
 
@@ -91,14 +91,14 @@ def abort(client, segment) -> None:
     memory = client.memory
     heap = segment.heap
 
-    # 1. restore every twinned page (pre-transaction images)
+    # 1. restore every twin run (pre-transaction images), one region
+    #    write per run; the pages are writable first, so nothing faults
     for subsegment in heap.subsegments:
-        first_page = subsegment.first_page_number()
-        for page_index, twin in subsegment.pagemap.items():
-            page = memory.page(first_page + page_index)
-            page.data[:] = twin
-        subsegment.pagemap.clear()
         memory.unprotect_range(subsegment.base, subsegment.size)
+        for page_index, twin in subsegment.pagemap.items():
+            memory.store(subsegment.base + page_index * subsegment.page_size,
+                         twin)
+    client._clear_pagemaps(segment)
 
     # 2. unwind creations (their metadata references die with them)
     for block in segment.created:

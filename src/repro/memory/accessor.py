@@ -276,7 +276,8 @@ class ArrayAccessor(Accessor):
         if start < 0 or start + len(values) > descriptor.count:
             raise IndexError("write_values range out of bounds")
         dtype = self._context.arch.numpy_dtype(element.kind)
-        data = np.asarray(values, dtype=dtype).tobytes()
+        # the store reads the values' own buffer: no staging copy
+        data = np.ascontiguousarray(values, dtype=dtype).reshape(-1).view(np.uint8)
         self._context.memory.store(self._address + start * dtype.itemsize, data)
 
     def read_values(self, start: int = 0, count: Optional[int] = None) -> np.ndarray:

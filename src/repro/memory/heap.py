@@ -12,7 +12,7 @@ Bookkeeping matches Figure 2 of the paper:
   trees of blocks — by serial number (``blk_number_tree``) and by symbolic
   name (``blk_name_tree``) — which together support MIP -> pointer
   translation;
-- per subsegment: a *pagemap* (pointers to twins) and a balanced tree of
+- per subsegment: a *pagemap* (twin runs by first page) and a balanced tree of
   blocks by address (``blk_addr_tree``);
 - per client: a global tree of all subsegments by address
   (``subseg_addr_tree``); together with the per-subsegment trees it
@@ -89,8 +89,10 @@ class SubSegment:
         self.num_pages = num_pages
         self.page_size = page_size
         self.segment_heap = segment_heap
-        #: page index within the subsegment -> twin bytes (pristine copy)
-        self.pagemap: Dict[int, bytes] = {}
+        #: twin runs: the subsegment page index of a run's first page ->
+        #: a pristine copy of the run's pages, taken by one write fault
+        #: (runs never overlap; adjacent runs may meet)
+        self.pagemap: Dict[int, bytearray] = {}
         self.blk_addr_tree = AVLTree()
 
     @property

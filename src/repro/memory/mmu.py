@@ -9,9 +9,16 @@ subsegment's pagemap, and re-enables write access.
 Python cannot take real page faults, so this module is the stand-in: an
 :class:`AddressSpace` of fixed-size pages with per-page protection bits.
 Every store issued by the typed accessor layer goes through
-:meth:`AddressSpace.store`; a store that touches a write-protected page
-invokes the registered fault handler — the same contract as the paper's
-SIGSEGV handler (create twin, unprotect, retry) — before the bytes land.
+:meth:`AddressSpace.store` (or :meth:`AddressSpace.scatter`).  Faults are
+taken on *ranges*: before any byte lands, the pages the store touches
+that are still write-protected are split into maximal runs of adjacent
+pages (one numpy pass over the region's flag bytes), and the registered
+``fault_handler(space, first_page_number, count)`` is called once per
+run — the paper's SIGSEGV contract (create twin, unprotect, retry) with
+one handler call and one twin copy per run instead of one per page.  The
+handler must leave every page of its run writable, or the store raises
+:class:`ProtectionError` with no byte written.  ``mmu.write_faults``
+still counts pages.
 
 Addresses are plain integers.  Regions are mapped at page granularity by a
 bump allocator, so every page belongs to at most one mapping (the paper's
@@ -21,11 +28,12 @@ subsegment).
 
 Each mapped region is backed by one contiguous ``bytearray`` plus one
 protection byte per page.  Pages are ``memoryview`` slices of that buffer,
-so the per-page API (twins, ``as_words``) is unchanged, while the diff
-data plane moves many scattered units at once: :meth:`AddressSpace.gather`
-and :meth:`AddressSpace.scatter` index the region by *unit* through a
-``V{unit_size}`` numpy view, so their cost follows the units touched, not
-the size of the block or region they live in.
+a twin run is one slice copy (:meth:`AddressSpace.snapshot_page`), and
+the diff data plane moves many scattered units at once:
+:meth:`AddressSpace.gather` and :meth:`AddressSpace.scatter` index the
+region by *unit* through a ``V{unit_size}`` numpy view, so their cost
+follows the units touched, not the size of the block or region they live
+in.
 """
 
 from __future__ import annotations
@@ -100,10 +108,12 @@ class FaultStats:
 class AddressSpace:
     """A client process's simulated address space.
 
-    ``fault_handler(address_space, page_number)`` is installed by the
-    InterWeave client library at startup (mirroring its SIGSEGV handler).
-    It must either make the page writable (returning True) or return False,
-    in which case the store raises :class:`ProtectionError`.
+    ``fault_handler(address_space, first_page_number, count)`` is
+    installed by the InterWeave client library at startup (mirroring its
+    SIGSEGV handler) and called once per maximal run of write-protected
+    pages a store touches; a run never crosses a mapping.  It must either
+    make all ``count`` pages writable (returning True) or return False, in
+    which case the store raises :class:`ProtectionError`.
     """
 
     def __init__(self, page_size: int = PAGE_SIZE,
@@ -115,11 +125,12 @@ class AddressSpace:
         #: page number -> the region mapping it
         self._regions: Dict[int, _Region] = {}
         self._next_page = _BASE_ADDRESS // page_size
-        self.fault_handler: Optional[Callable[["AddressSpace", int], bool]] = None
+        self.fault_handler: Optional[
+            Callable[["AddressSpace", int, int], bool]] = None
         self.stats = FaultStats()
         metrics = metrics or get_registry()
         self._m_write_faults = metrics.counter(
-            "mmu.write_faults", "stores that hit a write-protected page")
+            "mmu.write_faults", "write-protected pages faulted by stores")
         self._m_protects = metrics.counter(
             "mmu.protect_calls", "protect_range invocations")
         self._m_unprotects = metrics.counter(
@@ -156,6 +167,16 @@ class AddressSpace:
         except KeyError:
             raise ProtectionError(f"page {page_number:#x} is not mapped") from None
 
+    def _run(self, page_number: int, count: int):
+        """The region holding pages ``page_number .. +count-1`` and the
+        first one's index in it."""
+        region = self._region(page_number)
+        index = page_number - region.first_page
+        if index + count > region.num_pages:
+            raise ProtectionError(
+                f"pages {page_number:#x}+{count} reach outside their mapping")
+        return region, index
+
     def page(self, page_number: int) -> Page:
         region = self._region(page_number)
         return Page(region, page_number - region.first_page, self.page_size)
@@ -176,9 +197,10 @@ class AddressSpace:
         self.stats.unprotect_calls += 1
         self._m_unprotects.inc()
 
-    def unprotect_page(self, page_number: int) -> None:
-        region = self._region(page_number)
-        region.writable[page_number - region.first_page] = 1
+    def unprotect_page(self, page_number: int, count: int = 1) -> None:
+        """Make ``count`` pages from ``page_number`` writable (one mapping)."""
+        region, index = self._run(page_number, count)
+        region.writable[index:index + count] = b"\x01" * count
         self.stats.unprotect_calls += 1
         self._m_unprotects.inc()
 
@@ -216,9 +238,9 @@ class AddressSpace:
         """Write bytes (may span pages), taking write faults as needed.
 
         This is the single choke point all application stores go through —
-        the simulated equivalent of the CPU's store path.  Every protected
-        page the store touches is faulted, in address order, before any
-        byte lands.
+        the simulated equivalent of the CPU's store path.  Every maximal
+        run of protected pages the store touches is faulted, in address
+        order, before any byte lands.
         """
         size = len(data)
         if not size:
@@ -235,8 +257,13 @@ class AddressSpace:
         first = offset >> self._shift
         last = (end - 1) >> self._shift
         writable = region.writable
-        if not writable[first] or (last != first and 0 in writable[first:last + 1]):
-            self._fault_pages(region, range(first, last + 1))
+        if first == last:
+            if not writable[first]:
+                self._fault_run(region, first, 1)
+        elif writable.find(0, first, last + 1) >= 0:
+            protected = np.frombuffer(writable, np.uint8, count=last + 1 - first,
+                                      offset=first) == 0
+            self._fault_runs(region, first, protected)
         region.view[offset:end] = data
         self._m_stored.inc(size)
 
@@ -275,8 +302,9 @@ class AddressSpace:
         keeps the last value written.
 
         Every protected page a unit touches (a unit may straddle two
-        pages) is faulted exactly once, through the fault handler, before
-        any byte lands; a refused fault leaves memory unchanged.
+        pages) is faulted exactly once, in maximal runs of adjacent
+        touched pages, before any byte lands; a refused fault leaves
+        memory unchanged.
         """
         units = np.asarray(units, dtype=np.int64)
         payload = np.frombuffer(data, dtype=np.uint8)
@@ -285,13 +313,13 @@ class AddressSpace:
                 f"scatter of {units.size} {unit_size}-byte units given "
                 f"{payload.size} bytes")
         region, offset, view = self._unit_view(address, unit_size, units)
-        if 0 in region.writable:
+        if units.size and region.writable.find(0) >= 0:
             starts = offset + units * unit_size
             touched = np.zeros(region.num_pages, dtype=bool)
             touched[starts >> self._shift] = True
             touched[(starts + unit_size - 1) >> self._shift] = True
-            protected = touched & (np.frombuffer(region.writable, np.uint8) == 0)
-            self._fault_pages(region, np.flatnonzero(protected).tolist())
+            touched &= np.frombuffer(region.writable, np.uint8) == 0
+            self._fault_runs(region, 0, touched)
         view[units] = payload.view(view.dtype)
         self._m_stored.inc(payload.size)
 
@@ -312,32 +340,40 @@ class AddressSpace:
 
     # -- faults ------------------------------------------------------------------
 
-    def _fault_pages(self, region: _Region, indices) -> None:
-        """Fault every still-protected page among region page ``indices``."""
-        writable = region.writable
-        for index in indices:
-            if writable[index]:
-                continue
-            page_number = region.first_page + index
-            self._fault(page_number)
-            if not writable[index]:
-                raise ProtectionError(
-                    f"store to write-protected page {page_number:#x} "
-                    "not resolved by fault handler")
+    def _fault_runs(self, region: _Region, index: int, needs) -> None:
+        """Fault each maximal run of ``True`` in the bool array ``needs``,
+        whose element *k* stands for region page ``index + k``."""
+        edges = np.flatnonzero(np.diff(needs, prepend=False, append=False))
+        for lo, hi in zip(edges[0::2].tolist(), edges[1::2].tolist()):
+            self._fault_run(region, index + lo, hi - lo)
 
-    def _fault(self, page_number: int) -> None:
-        self.stats.write_faults += 1
-        self._m_write_faults.inc()
+    def _fault_run(self, region: _Region, index: int, count: int) -> None:
+        """Fault region pages ``index .. index + count - 1``, all protected."""
+        page_number = region.first_page + index
+        self.stats.write_faults += count
+        self._m_write_faults.inc(count)
         if self.fault_handler is None:
             raise ProtectionError(
                 f"write fault on page {page_number:#x} with no fault handler installed")
-        if not self.fault_handler(self, page_number):
-            raise ProtectionError(f"fault handler refused write to page {page_number:#x}")
+        if not self.fault_handler(self, page_number, count):
+            raise ProtectionError(
+                f"fault handler refused write to pages {page_number:#x}+{count}")
+        if region.writable.find(0, index, index + count) >= 0:
+            raise ProtectionError(
+                f"store to write-protected pages {page_number:#x}+{count} "
+                "not resolved by fault handler")
 
     # -- page-level helpers for the diffing machinery -------------------------------
 
-    def snapshot_page(self, page_number: int) -> bytes:
-        """A pristine copy of a page — twin creation."""
-        region = self._region(page_number)
-        start = (page_number - region.first_page) * self.page_size
-        return region.view[start:start + self.page_size].tobytes()
+    def snapshot_page(self, page_number: int, count: int = 1,
+                      into: Optional[bytearray] = None) -> bytearray:
+        """A pristine copy of ``count`` pages from ``page_number`` (one
+        mapping), as one buffer — twin creation.  The copy lands in
+        ``into`` (exactly ``count`` pages long) when given."""
+        region, index = self._run(page_number, count)
+        start = index * self.page_size
+        pages = region.view[start:start + count * self.page_size]
+        if into is None:
+            return bytearray(pages)
+        memoryview(into)[:] = pages  # ValueError unless the sizes match
+        return into

@@ -256,9 +256,9 @@ class TestStoresTakeFaults:
         mem = context.memory
         twins = []
 
-        def handler(space, page_number):
-            twins.append(space.snapshot_page(page_number))
-            space.unprotect_page(page_number)
+        def handler(space, first_page, count):
+            twins.append(space.snapshot_page(first_page, count))
+            space.unprotect_page(first_page, count)
             return True
 
         mem.fault_handler = handler

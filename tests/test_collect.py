@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import InProcHub, InterWeaveClient, InterWeaveServer, VirtualClock
 from repro.arch import SPARC_V9, X86_32
 from repro.client.collect import (
     SPLICE_MAX_GAP_WORDS,
@@ -35,11 +36,10 @@ def make_env(arch=X86_32):
 def protect_and_twin(memory, subsegment):
     """Install the twin-on-fault handler and protect the subsegment."""
 
-    def handler(space, page_number):
-        index = subsegment.page_index(page_number * space.page_size)
-        if index not in subsegment.pagemap:
-            subsegment.pagemap[index] = space.snapshot_page(page_number)
-        space.unprotect_page(page_number)
+    def handler(space, first_page, count):
+        index = subsegment.page_index(first_page * space.page_size)
+        subsegment.pagemap[index] = space.snapshot_page(first_page, count)
+        space.unprotect_page(first_page, count)
         return True
 
     memory.fault_handler = handler
@@ -116,16 +116,25 @@ class TestWordDiff:
         assert (ends - starts).tolist() == [8]
 
 
+def _per_page_twins(subsegment):
+    """The pagemap's twin runs cut into one twin per page, by page index."""
+    size = subsegment.page_size
+    return {first + k: twin[k * size:(k + 1) * size]
+            for first, twin in subsegment.pagemap.items()
+            for k in range(len(twin) // size)}
+
+
 def _per_page_word_diff(memory, subsegment, word_size, max_gap):
     """Reference word diff: each twinned page compared and spliced on its
     own, then runs meeting across page edges merged."""
     page_words = subsegment.page_size // word_size
     dtype = np.uint32 if word_size == 4 else np.uint64
     all_starts, all_ends = [], []
-    for index in sorted(subsegment.pagemap):
+    twins = _per_page_twins(subsegment)
+    for index in sorted(twins):
         current = memory.page(subsegment.first_page_number() + index).as_words(
             word_size)
-        twin = np.frombuffer(subsegment.pagemap[index], dtype=dtype)
+        twin = np.frombuffer(twins[index], dtype=dtype)
         changed = np.flatnonzero(current != twin)
         if changed.size == 0:
             continue
@@ -141,34 +150,80 @@ def _per_page_word_diff(memory, subsegment, word_size, max_gap):
     return starts.tolist(), ends.tolist()
 
 
+#: pages of the array block the run-twin equivalence test writes over
+_TWIN_TEST_PAGES = 12
+
+
+def _twin_test_world(seed):
+    """A writer holding the write lock on a segment whose one array block
+    was released with small random words, so its pages are protected and
+    stores twin them through the client's own range fault handler."""
+    clock = VirtualClock()
+    hub = InProcHub(clock=clock)
+    server = InterWeaveServer("host", sink=hub, clock=clock)
+    hub.register_server("host", server)
+    writer = InterWeaveClient("w", X86_32, hub.connect, clock=clock)
+    seg = writer.open_segment("host/twins")
+    writer.wl_acquire(seg)
+    words = _TWIN_TEST_PAGES * writer.memory.page_size // 4
+    array = writer.malloc(seg, ArrayDescriptor(INT, words), name="a")
+    array.write_values(
+        np.random.default_rng(seed).integers(0, 3, words).tolist())
+    writer.wl_release(seg)
+    writer.wl_acquire(seg)
+    return writer, seg.heap.subsegments[0]
+
+
+#: one store: (first word, words, kind); "same" rewrites the words already
+#: there (twinned, unchanged), "noise" writes small random words (changed
+#: words with random gaps), "fill" changes every word
+_stores = st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 3000),
+                             st.sampled_from(["same", "noise", "fill"])),
+                   max_size=8)
+
+
 class TestStackedWordDiff:
-    """The one-compare word diff over all twinned pages equals the
-    per-page reference on random dirty patterns."""
+    """The run-twin word diff equals the per-page reference on random
+    store sets twinned by the client's range fault handler."""
 
     @pytest.mark.parametrize("word_size", [4, 8])
     @pytest.mark.parametrize("seed", range(8))
-    def test_matches_per_page_reference(self, word_size, seed):
-        rng = np.random.default_rng(seed)
-        memory = AddressSpace(page_size=256)
-        heap = Heap(memory)
-        seg = SegmentHeap("s", heap, X86_32)
-        sub = seg.expand(64 * 256)
-        memory.store(sub.base, rng.integers(0, 4, sub.size, dtype=np.uint8).tobytes())
-        protect_and_twin(memory, sub)
-        page_words = 256 // word_size
-        # non-adjacent dirty pages, plus splices straddling page edges
-        for page in rng.choice(64, int(rng.integers(1, 20)), replace=False):
-            for _ in range(int(rng.integers(1, 6))):
-                word = int(page) * page_words + int(rng.integers(0, page_words))
-                memory.store(sub.base + word * word_size, bytes([1 + seed]) * word_size)
-        for edge in rng.choice(np.arange(1, 64), 4, replace=False):
-            word = int(edge) * page_words
-            for delta in (-2, 1):  # changed words 3 apart across the edge
-                memory.store(sub.base + (word + delta) * word_size, b"\xff" * word_size)
+    @settings(max_examples=15, deadline=None)
+    @given(stores=_stores,
+           seams=st.lists(st.integers(1, _TWIN_TEST_PAGES - 1), max_size=3),
+           noise_seed=st.integers(0, 2 ** 16))
+    def test_matches_per_page_reference(self, word_size, seed, stores, seams,
+                                        noise_seed):
+        # ``seed`` picks the released image, hypothesis the stores over it
+        writer, sub = _twin_test_world(seed)
+        memory = writer.memory
+        rng = np.random.default_rng(noise_seed)
+        page_words = memory.page_size // word_size
+        total_words = sub.size // word_size
+        for first, count, kind in stores:
+            # multi-page stores fault a multi-page run in one call
+            first %= total_words
+            count = min(count, total_words - first)
+            address = sub.base + first * word_size
+            if kind == "same":
+                data = memory.load(address, count * word_size)
+            elif kind == "noise":
+                data = rng.integers(0, 3, count * word_size, np.uint8).tobytes()
+            else:
+                data = b"\xfe" * (count * word_size)
+            memory.store(address, data)
+        for edge in seams:
+            # changed words 3 apart across a page edge, stored separately:
+            # pages not yet twinned fault as two adjacent one-page runs,
+            # and max_gap=2 splices the two changes across their seam
+            for word in (edge * page_words - 2, edge * page_words + 1):
+                memory.store(sub.base + word * word_size, b"\xff" * word_size)
         for max_gap in (0, SPLICE_MAX_GAP_WORDS):
             starts, ends = word_diff_arrays(memory, sub, word_size, max_gap)
             assert (starts.tolist(), ends.tolist()) == _per_page_word_diff(
                 memory, sub, word_size, max_gap)
+        # twins count pages, and each run copied the pages it covers
+        assert writer.stats.twins_created == len(_per_page_twins(sub))
 
     def test_twinned_but_unchanged_pages(self):
         memory, seg, actx = make_env()
@@ -471,3 +526,32 @@ class TestBlockLevelFullSend:
         reader.rl_acquire(seg_r)
         assert list(reader.accessor_for(seg_r, "a").read_values()) == values
         reader.rl_release(seg_r)
+
+
+class TestTwinReuse:
+    def test_next_session_copies_into_last_sessions_twins(self):
+        writer, sub = _twin_test_world(0)
+        memory = writer.memory
+        seg = writer.segments["host/twins"]
+        block = seg.heap.block_by_name("a")
+        memory.store(block.address, b"\x01" * block.size)
+        (first, twin), = sub.pagemap.items()
+        writer.wl_release(seg)
+        assert not sub.pagemap
+
+        writer.wl_acquire(seg)
+        pristine = memory.load(sub.base + first * memory.page_size, len(twin))
+        memory.store(block.address, b"\x03" * block.size)
+        # the same run reuses last session's buffer, now holding this
+        # session's pristine image
+        assert sub.pagemap[first] is twin
+        assert bytes(twin) == pristine
+        starts, ends = changed_byte_arrays(memory, sub, 4)
+        assert (starts.tolist(), ends.tolist()) == (
+            [block.address], [block.address + block.size])
+        writer.wl_release(seg)
+
+        writer.wl_acquire(seg)
+        memory.store(block.address, b"\x04")  # a one-page run: fresh buffer
+        (one_page,) = sub.pagemap.values()
+        assert one_page is not twin and len(one_page) == memory.page_size

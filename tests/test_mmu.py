@@ -79,9 +79,9 @@ class TestProtectionAndFaults:
         base = mem.map_region(1)
         faulted = []
 
-        def handler(space, page_number):
-            faulted.append(page_number)
-            space.unprotect_page(page_number)
+        def handler(space, first_page, count):
+            faulted.append(first_page)
+            space.unprotect_page(first_page, count)
             return True
 
         mem.fault_handler = handler
@@ -95,8 +95,8 @@ class TestProtectionAndFaults:
         mem = AddressSpace()
         base = mem.map_region(2)
 
-        def handler(space, page_number):
-            space.unprotect_page(page_number)
+        def handler(space, first_page, count):
+            space.unprotect_page(first_page, count)
             return True
 
         mem.fault_handler = handler
@@ -109,7 +109,7 @@ class TestProtectionAndFaults:
     def test_refusing_handler_raises(self):
         mem = AddressSpace()
         base = mem.map_region(1)
-        mem.fault_handler = lambda space, page: False
+        mem.fault_handler = lambda space, first_page, count: False
         mem.protect_range(base, 1)
         with pytest.raises(ProtectionError):
             mem.store(base, b"x")
@@ -118,8 +118,8 @@ class TestProtectionAndFaults:
         mem = AddressSpace(page_size=64)
         base = mem.map_region(3)
 
-        def handler(space, page_number):
-            space.unprotect_page(page_number)
+        def handler(space, first_page, count):
+            space.unprotect_page(first_page, count)
             return True
 
         mem.fault_handler = handler
@@ -167,9 +167,9 @@ def _twinning_space(page_size=64, pages=8):
     base = mem.map_region(pages)
     faulted = []
 
-    def handler(space, page_number):
-        faulted.append(page_number)
-        space.unprotect_page(page_number)
+    def handler(space, first_page, count):
+        faulted.extend(range(first_page, first_page + count))
+        space.unprotect_page(first_page, count)
         return True
 
     mem.fault_handler = handler
@@ -223,10 +223,11 @@ class TestGatherScatter:
         twins = {}
         inner = mem.fault_handler
 
-        def twinning(space, page_number):
-            assert page_number not in twins
-            twins[page_number] = space.snapshot_page(page_number)
-            return inner(space, page_number)
+        def twinning(space, first_page, count):
+            for page_number in range(first_page, first_page + count):
+                assert page_number not in twins
+                twins[page_number] = space.snapshot_page(page_number)
+            return inner(space, first_page, count)
 
         mem.fault_handler = twinning
         # 8-byte units from offset 60: unit 0 straddles pages 0/1 (the
@@ -257,7 +258,7 @@ class TestGatherScatter:
         mem = AddressSpace(page_size=64)
         base = mem.map_region(4)
         mem.protect_range(base + 128, 64)  # only page 2 is protected
-        mem.fault_handler = lambda space, page: False
+        mem.fault_handler = lambda space, first_page, count: False
         with pytest.raises(ProtectionError):
             mem.scatter(base, 4, np.array([0, 1, 33]), b"\x01" * 12)
         assert mem.load(base, 4 * 64) == bytes(4 * 64)
@@ -303,5 +304,110 @@ class TestRegionProtection:
         mem.store(base + 64, b"abc")
         page = mem.page(base // 64 + 1)
         assert bytes(page.data[:3]) == b"abc"
-        page.data[:3] = b"xyz"  # transaction abort restores twins this way
+        page.data[:3] = b"xyz"
         assert mem.load(base + 64, 3) == b"xyz"
+
+
+class TestRangeFaults:
+    """The fault contract: one handler call per maximal run of protected
+    pages a store touches, counted in pages."""
+
+    def _space(self, pages=8):
+        mem = AddressSpace(page_size=64)
+        base = mem.map_region(pages)
+        calls = []
+
+        def handler(space, first_page, count):
+            calls.append((first_page - base // 64, count))
+            space.unprotect_page(first_page, count)
+            return True
+
+        mem.fault_handler = handler
+        mem.protect_range(base, pages * 64)
+        return mem, base, calls
+
+    def test_one_call_per_protected_run(self):
+        mem, base, calls = self._space()
+        mem.store(base + 70, bytes(300))  # pages 1..5
+        assert calls == [(1, 5)]
+        assert mem.stats.write_faults == 5
+        mem.store(base, bytes(8 * 64))  # pages 0 and 6..7 still protected
+        assert calls == [(1, 5), (0, 1), (6, 2)]
+        assert mem.stats.write_faults == 8
+
+    def test_writable_page_splits_run(self):
+        mem, base, calls = self._space()
+        mem.unprotect_range(base + 3 * 64, 64)
+        mem.store(base + 64, bytes(5 * 64))  # pages 1..5, page 3 writable
+        assert calls == [(1, 2), (4, 2)]
+        assert mem.stats.write_faults == 4
+
+    def test_scatter_straddling_units_fault_each_page_once(self):
+        mem, base, calls = self._space()
+        # 8-byte units from offset 60 straddle every page edge they meet:
+        # unit 0 covers pages 0/1, unit 16 pages 2/3, unit 48 pages 6/7
+        mem.scatter(base + 60, 8, np.array([0, 16, 16, 0, 48]), bytes(40))
+        assert calls == [(0, 4), (6, 2)]
+        assert mem.stats.write_faults == 6
+        mem.scatter(base + 60, 8, np.array([0, 16, 48]), bytes(24))
+        assert len(calls) == 2  # all touched pages are writable now
+
+    def test_scatter_untouched_page_splits_run(self):
+        mem, base, calls = self._space()
+        mem.scatter(base, 4, np.array([0, 33, 48]), bytes(12))  # pages 0, 2, 3
+        assert calls == [(0, 1), (2, 2)]
+
+    def test_partial_unprotect_raises(self):
+        mem, base, calls = self._space()
+
+        def lazy(space, first_page, count):
+            space.unprotect_page(first_page, count - 1)  # misses the last page
+            return True
+
+        mem.fault_handler = lazy
+        with pytest.raises(ProtectionError):
+            mem.store(base, b"\x01" * 200)  # pages 0..3
+        assert mem.load(base, 8 * 64) == bytes(8 * 64)
+
+    def test_refused_run_leaves_every_byte_unchanged(self):
+        mem = AddressSpace(page_size=64)
+        base = mem.map_region(8)
+        mem.store(base, bytes(range(256)) * 2)
+        before = mem.load(base, 8 * 64)
+        mem.protect_range(base + 2 * 64, 3 * 64)  # pages 2..4
+        mem.fault_handler = lambda space, first_page, count: False
+        with pytest.raises(ProtectionError):
+            mem.store(base + 60, b"\xee" * 300)  # pages 0..5
+        with pytest.raises(ProtectionError):
+            mem.scatter(base, 8, np.array([1, 20, 25, 35, 60]), b"\xee" * 40)
+        assert mem.load(base, 8 * 64) == before
+        assert mem.stats.write_faults == 6  # two refused 3-page runs
+
+    def test_write_faults_count_pages(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        mem = AddressSpace(page_size=64, metrics=registry)
+        base = mem.map_region(16)
+        mem.fault_handler = lambda space, first_page, count: (
+            space.unprotect_page(first_page, count) or True)
+        mem.protect_range(base, 16 * 64)
+        mem.store(base, bytes(10 * 64))
+        mem.store(base + 12 * 64, b"x")
+        assert mem.stats.write_faults == 11
+        assert registry.snapshot()["counters"]["mmu.write_faults"] == 11
+
+    def test_snapshot_and_unprotect_runs(self):
+        mem = AddressSpace(page_size=64)
+        base = mem.map_region(4)
+        mem.store(base, bytes(range(256)))
+        first = base // 64
+        assert mem.snapshot_page(first + 1, 2) == bytes(range(64, 192))
+        mem.protect_range(base, 4 * 64)
+        mem.unprotect_page(first + 1, 2)
+        assert [mem.page(first + k).writable for k in range(4)] == [
+            False, True, True, False]
+        with pytest.raises(ProtectionError):
+            mem.snapshot_page(first + 3, 2)  # past the mapping
+        with pytest.raises(ProtectionError):
+            mem.unprotect_page(first + 3, 2)

@@ -129,6 +129,68 @@ class TestAbort:
         seg.heap.check_invariants()
 
 
+class TestAbortRestoresTwinRuns:
+    """Abort writes each twin run back in one region write."""
+
+    PAGES = 128
+
+    def _big_world(self, world):
+        clock, hub, server, writer, seg = world
+        words = self.PAGES * writer.memory.page_size // 4
+        writer.wl_acquire(seg)
+        big = writer.malloc(seg, ArrayDescriptor(INT, words), name="big")
+        big.write_values([k % 977 for k in range(words)])
+        writer.wl_release(seg)
+        return writer, seg, big
+
+    def _assert_restored(self, writer, seg, image):
+        memory = writer.memory
+        for subsegment in seg.heap.subsegments:
+            assert memory.load(subsegment.base, subsegment.size) == image[
+                subsegment.base]
+            assert not subsegment.pagemap
+            first = subsegment.first_page_number()
+            assert all(memory.page(first + k).writable
+                       for k in range(subsegment.num_pages))
+
+    def _image(self, writer, seg):
+        return {sub.base: writer.memory.load(sub.base, sub.size)
+                for sub in seg.heap.subsegments}
+
+    def test_abort_after_one_store_over_many_pages(self, world):
+        writer, seg, big = self._big_world(world)
+        image = self._image(writer, seg)
+        block = seg.heap.block_by_name("big")
+        writer.tx_begin(seg)
+        faults = writer.memory.stats.write_faults
+        writer.memory.store(block.address, b"\xab" * block.size)
+        # one store, one run: every page it covers is twinned
+        assert writer.memory.stats.write_faults - faults >= self.PAGES
+        sub = block.subsegment
+        assert len(sub.pagemap) == 1
+        assert len(next(iter(sub.pagemap.values()))) >= (
+            self.PAGES * writer.memory.page_size)
+        writer.tx_abort(seg)
+        self._assert_restored(writer, seg, image)
+        assert seg.version == 2
+
+    def test_abort_after_scattered_single_page_stores(self, world):
+        writer, seg, big = self._big_world(world)
+        image = self._image(writer, seg)
+        page_size = writer.memory.page_size
+        writer.tx_begin(seg)
+        for page in range(0, self.PAGES, 7):
+            big[page * page_size // 4 + 3] = -page - 1
+        writer.accessor_for(seg, "label").set("scribbled")
+        assert len(seg.heap.block_by_name("big").subsegment.pagemap) >= (
+            self.PAGES // 7)
+        writer.tx_abort(seg)
+        self._assert_restored(writer, seg, image)
+        assert big[3] == 3 and big[7 * page_size // 4 + 3] == (
+            (7 * page_size // 4 + 3) % 977)
+        assert writer.accessor_for(seg, "label").get() == "original"
+
+
 class TestTransactionDiscipline:
     def test_commit_without_transaction_rejected(self, world):
         clock, hub, server, writer, seg = world
